@@ -44,7 +44,7 @@ from .dataset import (
     load_manifest,
 )
 from .dsp import Signal, Spectrogram, stft
-from .errors import ParameterError, VibroauditError
+from .errors import ParameterError, UsageError, VibroauditError
 from .report import (
     AuditReport,
     band_scan_section,
@@ -88,10 +88,6 @@ SUITE_REPEATS = {"condition": 1_000, "mixing": 200, "counterfactual": 200}
 
 TONE_PERSISTENCE_MIN = 0.9
 TONE_PROMINENCE_MIN_DB = 6.0
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,7 +240,7 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
-    cfg = _load_feature_config(args.config)
+    cfg = _load_feature_config(args.config, manifest)
     table = extract_table(manifest, cfg)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     table.to_csv(args.out)
@@ -347,7 +343,7 @@ def cmd_audit(args) -> int:
     suite = args.analysis == "suite"
 
     manifest = load_manifest(args.manifest) if args.manifest else None
-    cfg = _load_feature_config(args.config)
+    cfg = _load_feature_config(args.config, manifest)
 
     needs_table = suite or args.analysis in (
         "covariate", "condition", "mixing", "rotate", "counterfactual"
@@ -404,7 +400,10 @@ def cmd_audit(args) -> int:
                 section = fn()
             section["timing_s"] = t.seconds
             report.add_section(name, section)
-        except (ParameterError, VibroauditError) as exc:
+        except UsageError:
+            # an incoherent command line aborts even the suite
+            raise
+        except VibroauditError as exc:
             if not (suite or soft):
                 raise
             report.skip_section(name, str(exc))
@@ -456,7 +455,7 @@ def cmd_audit(args) -> int:
         for cov in wanted:
             try:
                 results[cov] = covariate_predictability(table, cov)
-            except (ParameterError, VibroauditError) as exc:
+            except VibroauditError as exc:
                 not_evaluated[cov] = str(exc)
         if not results:
             raise ParameterError(

@@ -7,6 +7,7 @@ repetition segmentation, and the band-limited feature map g.
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from dataclasses import dataclass, field
@@ -591,9 +592,11 @@ class FeatureTable:
 
     def to_csv(self, path) -> None:
         """Header = identifier columns then feature names; floats use
-        repr so a read back is value-exact."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(list(LABEL_COLUMNS) + self.feature_names) + "\n")
+        repr so a read back is value-exact.  Fields holding a comma, quote
+        or newline are quoted (RFC 4180); no other field is."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(LABEL_COLUMNS) + self.feature_names)
             for i in range(self.n_rows):
                 ident = [
                     str(self.labels["session_id"][i]),
@@ -604,15 +607,22 @@ class FeatureTable:
                     str(self.labels["device"][i]),
                 ]
                 feats = [repr(float(v)) for v in self.matrix[i]]
-                fh.write(",".join(ident + feats) + "\n")
+                writer.writerow(ident + feats)
 
     @staticmethod
     def from_csv(path) -> "FeatureTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            try:
+                # blank lines carry no row
+                records = [
+                    rec for rec in csv.reader(fh)
+                    if len(rec) > 1 or (rec and rec[0].strip())
+                ]
+            except csv.Error as exc:
+                raise FormatError(f"{path}: {exc}") from None
+        if not records:
             raise FormatError(f"{path}: empty feature CSV")
-        header = lines[0].split(",")
+        header = records[0]
         if header[: len(LABEL_COLUMNS)] != list(LABEL_COLUMNS):
             raise FormatError(
                 f"{path}: feature CSV must start with columns {LABEL_COLUMNS}"
@@ -621,8 +631,7 @@ class FeatureTable:
         labels: dict[str, list[str]] = {"session_id": [], "subject": [], "health": [], "side": [], "device": []}
         reps = []
         rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
+        for parts in records[1:]:
             if len(parts) != len(header):
                 raise FormatError(f"{path}: row with {len(parts)} fields, expected {len(header)}")
             labels["session_id"].append(parts[0])

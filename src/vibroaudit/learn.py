@@ -7,6 +7,12 @@ strictly convex, so this reaches the same unique optimum a plain
 gradient descent would, in two orders of magnitude fewer iterations
 (the audit battery refits thousands of folds per run).  Convergence is
 declared when the gradient max-norm drops below tol.
+
+Cross-validation fits all of its folds as one stack: folds whose
+training designs share a shape go through one batched Newton kernel
+(one stacked solve per iteration, a step size and a stopping iteration
+per fold), and ``fit_linear`` is the same kernel on a stack of one, so
+a fold refitted alone gives its cross-validated model bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._parallel import pmap
+from ._parallel import pmap  # noqa: F401  unused here; perfbench/spans.py patches learn.pmap
 from .dataset import FeatureTable, FeatureVector
 from .errors import ParameterError
 
@@ -63,9 +69,177 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
-    # mean logistic loss + L2 on weights (bias unregularized)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
+def _loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> np.ndarray:
+    # per-fit mean logistic loss + L2 on weights (bias unregularized);
+    # rows of z, y and w are independent fits
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=1) + 0.5 * l2 * _rowdot(w, w)
+
+
+# Stacked products go through matmul, which calls the same BLAS routine
+# on each slice as on a single fit, so a fit's bits do not depend on
+# what else is in its stack (einsum or sum reductions would not keep that).
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve every fit's Newton system; a singular one steps along grad."""
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = grad.copy()
+        for g in range(len(hess)):
+            try:
+                steps[g] = np.linalg.solve(hess[g], grad[g][:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _newton_stack(
+    Xa: np.ndarray, y: np.ndarray, l2: float, max_iter: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on a (G, n, d+1) stack of fits that share one shape.
+
+    Xa holds each fit's standardized features plus a ones column, y its
+    0/1 targets.  Every fit keeps its own Armijo step size and stops on
+    its own; a converged fit is frozen and leaves the stack.  Returns
+    theta (G, d+1: weights then bias), converged (G,) and n_iter (G,).
+    """
+    G, n, p = Xa.shape
+    d = p - 1
+    reg = np.concatenate([np.full(d, l2), [0.0]])
+    ridge = np.diag(reg + 1e-12)
+    theta = np.zeros((G, p))
+    converged = np.zeros(G, dtype=bool)
+    n_iter = np.full(G, max(max_iter, 0))
+    live = np.arange(G)  # fits still iterating, and their stacks
+    A, Y, th = Xa, y, theta.copy()
+    for it in range(1, max_iter + 1):
+        z = _matvec(A, th)
+        prob = _sigmoid(z)
+        grad = _matvec(np.swapaxes(A, 1, 2), prob - Y) / n + reg * th
+        done = np.max(np.abs(grad), axis=1) < tol
+        if done.any():
+            converged[live[done]] = True
+            n_iter[live[done]] = it
+            theta[live[done]] = th[done]
+            go = ~done
+            live, A, Y, th = live[go], A[go], Y[go], th[go]
+            if live.size == 0:
+                break
+            z, prob, grad = z[go], prob[go], grad[go]
+        r = prob * (1.0 - prob)
+        hess = np.swapaxes(A * r[:, :, None], 1, 2) @ A / n + ridge
+        step = _newton_steps(hess, grad)
+        # Armijo backtracking on the regularized loss, one step size per fit
+        base = _loss(z, Y, th[:, :d], l2)
+        slope = _rowdot(grad, step)
+        t = np.ones(live.size)
+        trying = np.arange(live.size)
+        for _ in range(60):
+            sub = slice(None) if trying.size == live.size else trying
+            cand = th[sub] - t[sub, None] * step[sub]
+            ok = _loss(_matvec(A[sub], cand), Y[sub], cand[:, :d], l2) <= (
+                base[sub] - 1e-4 * t[sub] * slope[sub]
+            )
+            trying = trying[~ok]
+            if trying.size == 0:
+                break
+            t[trying] *= 0.5
+        th = th - t[:, None] * step
+    theta[live] = th
+    return theta, converged, n_iter
+
+
+@dataclass
+class _Prepared:
+    """One fit's standardized design, ready for the Newton kernel."""
+
+    Xa: np.ndarray
+    y: np.ndarray
+    feature_names: list[str]
+    keep: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    classes: tuple[str, str]
+
+
+def _prepare(features, labels, feature_names: list[str] | None) -> _Prepared:
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    labels = np.asarray(labels, dtype=object)
+    if X.shape[0] != len(labels):
+        raise ParameterError(f"{X.shape[0]} rows but {len(labels)} labels")
+    class_values = sorted(set(labels.tolist()))
+    if len(class_values) != 2:
+        raise ParameterError(
+            f"need exactly 2 classes, got {len(class_values)}: {class_values}"
+        )
+    negative, positive = class_values
+    if feature_names is None:
+        feature_names = [f"f{j:02d}" for j in range(X.shape[1])]
+    if len(feature_names) != X.shape[1]:
+        raise ParameterError("feature_names length does not match feature count")
+
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    keep = std > 0
+    Xs = (X[:, keep] - mean[keep]) / std[keep]
+    return _Prepared(
+        Xa=np.hstack([Xs, np.ones((Xs.shape[0], 1))]),
+        y=(labels == positive).astype(np.float64),
+        feature_names=list(feature_names),
+        keep=keep,
+        mean=mean,
+        std=std,
+        classes=(str(negative), str(positive)),
+    )
+
+
+def _fit_prepared(
+    fits: list[_Prepared], l2: float, max_iter: int, tol: float
+) -> list[LinearModel]:
+    """Fit every prepared design, one Newton stack per (rows, columns) shape."""
+    if l2 < 0:
+        raise ParameterError("l2 must be >= 0")
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, f in enumerate(fits):
+        by_shape.setdefault(f.Xa.shape, []).append(i)
+    solved: dict[int, tuple[np.ndarray, bool, int]] = {}
+    for members in by_shape.values():
+        theta, converged, n_iter = _newton_stack(
+            np.stack([fits[i].Xa for i in members]),
+            np.stack([fits[i].y for i in members]),
+            l2, max_iter, tol,
+        )
+        for k, i in enumerate(members):
+            solved[i] = theta[k], bool(converged[k]), int(n_iter[k])
+
+    models = []
+    for i, f in enumerate(fits):
+        theta, converged, n_iter = solved[i]
+        kept = [n for n, k in zip(f.feature_names, f.keep) if k]
+        d = len(kept)
+        models.append(LinearModel(
+            feature_names=kept,
+            weights={n: float(w) for n, w in zip(kept, theta[:d])},
+            bias=float(theta[d]),
+            standardization={
+                n: (float(m), float(s))
+                for n, m, s, k in zip(f.feature_names, f.mean, f.std, f.keep) if k
+            },
+            classes=f.classes,
+            dropped_features=[n for n, k in zip(f.feature_names, f.keep) if not k],
+            converged=converged,
+            n_iter=n_iter,
+        ))
+    return models
 
 
 def fit_linear(
@@ -80,76 +254,11 @@ def fit_linear(
 
     ``features`` is (n_samples, n_features); ``labels`` is a sequence of
     exactly two distinct values; the lexicographically larger one is the
-    positive class (so Unhealthy is positive against Healthy).
+    positive class (so Unhealthy is positive against Healthy).  This is
+    the one-fit call of the kernel every cross-validation uses, so a
+    fold refitted here reproduces its cross-validated model exactly.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    labels = np.asarray(labels, dtype=object)
-    if X.shape[0] != len(labels):
-        raise ParameterError(f"{X.shape[0]} rows but {len(labels)} labels")
-    if l2 < 0:
-        raise ParameterError("l2 must be >= 0")
-    class_values = sorted(set(labels.tolist()))
-    if len(class_values) != 2:
-        raise ParameterError(
-            f"need exactly 2 classes, got {len(class_values)}: {class_values}"
-        )
-    negative, positive = class_values
-    y = (labels == positive).astype(np.float64)
-    if feature_names is None:
-        feature_names = [f"f{j:02d}" for j in range(X.shape[1])]
-    if len(feature_names) != X.shape[1]:
-        raise ParameterError("feature_names length does not match feature count")
-
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    keep = std > 0
-    dropped = [n for n, k in zip(feature_names, keep) if not k]
-    kept_names = [n for n, k in zip(feature_names, keep) if k]
-    Xs = (X[:, keep] - mean[keep]) / std[keep]
-    n, d = Xs.shape
-
-    theta = np.zeros(d + 1)  # weights then bias
-    reg = np.concatenate([np.full(d, l2), [0.0]])
-    Xa = np.hstack([Xs, np.ones((n, 1))])
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        z = Xa @ theta
-        p = _sigmoid(z)
-        grad = Xa.T @ (p - y) / n + reg * theta
-        if np.max(np.abs(grad)) < tol:
-            converged = True
-            break
-        r = p * (1.0 - p)
-        hess = (Xa * r[:, None]).T @ Xa / n + np.diag(reg + 1e-12)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        # Armijo backtracking on the regularized loss
-        base = _loss(z, y, theta[:d], l2)
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(60):
-            cand = theta - t * step
-            if _loss(Xa @ cand, y, cand[:d], l2) <= base - 1e-4 * t * slope:
-                break
-            t *= 0.5
-        theta = theta - t * step
-
-    std_map = {n: (float(m), float(s)) for n, m, s in zip(feature_names, mean, std)}
-    return LinearModel(
-        feature_names=kept_names,
-        weights={n: float(w) for n, w in zip(kept_names, theta[:d])},
-        bias=float(theta[d]),
-        standardization={n: std_map[n] for n in kept_names},
-        classes=(str(negative), str(positive)),
-        dropped_features=dropped,
-        converged=converged,
-        n_iter=it,
-    )
+    return _fit_prepared([_prepare(features, labels, feature_names)], l2, max_iter, tol)[0]
 
 
 def _score_matrix(model: LinearModel, X: np.ndarray, feature_names: list[str]) -> np.ndarray:
@@ -251,32 +360,28 @@ def loso_cv(
         )
     negative, positive = (str(c) for c in class_values)
 
-    def run_fold(g):
+    names = list(table.feature_names)
+    fits: list[tuple[str, _Prepared]] = []
+    skipped: dict[str, str] = {}
+    for g in unique_groups:
         train = groups != g
         train_targets = set(targets[train].tolist())
         if len(train_targets) < 2:
-            return g, None, f"training set single-class ({train_targets.pop()}) without {group_key}={g}"
-        model = fit_linear(
-            table.matrix[train], targets[train], list(table.feature_names),
-            l2=l2, max_iter=max_iter, tol=tol,
-        )
-        scores = _score_matrix(model, table.matrix[~train], list(table.feature_names))
-        return g, (model, scores), None
-
-    results = pmap(run_fold, unique_groups)
+            skipped[str(g)] = (
+                f"training set single-class ({train_targets.pop()}) without {group_key}={g}"
+            )
+            continue
+        fits.append((g, _prepare(table.matrix[train], targets[train], names)))
+    models = _fit_prepared([f for _, f in fits], l2, max_iter, tol)
 
     n = table.n_rows
     row_pred = np.array([""] * n, dtype=object)
     row_score = np.full(n, np.nan)
     fold_models: dict[str, LinearModel] = {}
-    skipped: dict[str, str] = {}
     dropped: dict[str, list[str]] = {}
-    for g, payload, reason in results:
-        if payload is None:
-            skipped[str(g)] = reason
-            continue
-        model, scores = payload
+    for (g, _), model in zip(fits, models):
         mask = groups == g
+        scores = _score_matrix(model, table.matrix[mask], names)
         row_score[mask] = scores
         row_pred[mask] = _labels_from_scores(model, scores)
         fold_models[str(g)] = model

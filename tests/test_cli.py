@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from tablegen import day_level_table, rotated_pair_table
+from tablegen import day_level_table, device_shortcut_table, rotated_pair_table
 from vibroaudit.cli import EXIT_ERROR, EXIT_FLAGS, EXIT_OK, main
 from vibroaudit.dataset import FeatureConfig, load_manifest
 from vibroaudit.report import canonical_json, read_report, strip_timing
@@ -93,6 +93,19 @@ class TestFeatures:
         )
         assert rc == EXIT_OK
         assert wide.read_bytes() != default.read_bytes()
+
+    def test_low_rate_cohort_needs_no_config(self, tmp_path):
+        # 16 kHz: the default 10 kHz upper band edge is clamped below Nyquist
+        data = tmp_path / "device"
+        assert run(
+            "synth", "--scenario", "device-shift", "--subjects", "2",
+            "--repetitions", "2", "--duration", "1.0",
+            "--seed", "0", "--out", str(data),
+        ) == EXIT_OK
+        out = tmp_path / "features.csv"
+        rc = run("features", "--manifest", str(data / "manifest.json"), "--out", str(out))
+        assert rc == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 4 * 2
 
     def test_missing_wav_names_the_session(self, tone_dataset, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -256,6 +269,16 @@ class TestErrorPaths:
         assert run() == EXIT_ERROR
         assert run("audit", "suite", "--out", str(tmp_path)) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_usage_error_inside_the_suite_is_not_a_skipped_section(self, tmp_path, capsys):
+        csv_path = tmp_path / "device.csv"
+        device_shortcut_table().to_csv(csv_path)
+        rc = run(
+            "audit", "suite", "--features", str(csv_path), "--repeats", "0",
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("usage error: --repeats must be >= 1")
 
     def test_bad_band_syntax(self, tone_dataset, tmp_path, capsys):
         rc = run(

@@ -459,6 +459,47 @@ class TestFeatureTable:
         with pytest.raises(ParameterError, match="mismatch"):
             FeatureTable.from_vectors([a, b])
 
+    def test_csv_is_plain_comma_separated(self, tmp_path):
+        table = FeatureTable(
+            feature_names=["f00", "f01"],
+            matrix=np.array([[0.1, -2.5e-07], [3.0, float("nan")]]),
+            labels={
+                "session_id": np.array(["s0", "s1"], dtype=object),
+                "subject": np.array(["p0", "p1"], dtype=object),
+                "health": np.array(["Healthy", "Unhealthy"], dtype=object),
+                "side": np.array(["left", "right"], dtype=object),
+                "device": np.array(["D0", "D1"], dtype=object),
+            },
+            repetition_index=np.array([0, 1], dtype=np.int64),
+        )
+        path = tmp_path / "plain.csv"
+        table.to_csv(path)
+        assert path.read_bytes() == (
+            b"session_id,repetition_index,subject,health,side,device,f00,f01\n"
+            b"s0,0,p0,Healthy,left,D0,0.1,-2.5e-07\n"
+            b"s1,1,p1,Unhealthy,right,D1,3.0,nan\n"
+        )
+
+    def test_csv_round_trips_ids_with_commas_and_quotes(self, tmp_path):
+        _, _, table = toy_table(tmp_path)
+        ids = table.labels["session_id"].copy()
+        ids[0], ids[1] = "a,b", 'q"x'
+        table.labels["session_id"] = ids
+        path = tmp_path / "quoted.csv"
+        table.to_csv(path)
+        again = FeatureTable.from_csv(path)
+        np.testing.assert_array_equal(again.labels["session_id"], ids)
+        np.testing.assert_array_equal(again.matrix, table.matrix)
+        path2 = tmp_path / "quoted2.csv"
+        again.to_csv(path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_csv_field_over_the_reader_limit_is_a_format_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("session_id," + "x" * 200_000 + "\n")
+        with pytest.raises(FormatError, match="field limit"):
+            FeatureTable.from_csv(path)
+
     def test_bad_csv_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from vibroaudit import _parallel
 from vibroaudit.dataset import FeatureTable
 from vibroaudit.errors import ParameterError
 from vibroaudit.learn import (
     LinearModel,
     Pca2Result,
+    _fit_prepared,
+    _newton_steps,
+    _prepare,
     fit_linear,
     loso_cv,
     pca2,
@@ -263,6 +267,150 @@ class TestLosoCv:
         cv = loso_cv(table, target="device")
         assert cv.classes == ("D0", "D1")
         assert cv.mean_repetition_accuracy > 0.9
+
+
+# ---------------------------------------------------------------------------
+# stacked Newton kernel: every fold of a cross-validation in one stack
+
+
+def ragged_table(seed=0):
+    """Unequal subject sizes, and f00 constant outside subject s01."""
+    rng = np.random.default_rng(seed)
+    sizes = [4, 4, 6, 3, 4, 5, 4, 6]
+    subjects = [f"s{i:02d}" for i, k in enumerate(sizes) for _ in range(k)]
+    health = ["Healthy" if i % 2 else "Unhealthy" for i, k in enumerate(sizes) for _ in range(k)]
+    x = rng.normal(size=(len(subjects), 5))
+    x[:, 1] += 1.5 * (np.array(health) == "Unhealthy")
+    x[np.array(subjects) != "s01", 0] = 3.0
+    return make_table(x, subjects, health)
+
+
+def assert_folds_match_single_fits(table, **kw):
+    cv = loso_cv(table, **kw)
+    subjects = table.labels["subject"]
+    for g, model in cv.fold_models.items():
+        train = subjects != g
+        alone = fit_linear(
+            table.matrix[train], table.labels["health"][train],
+            list(table.feature_names), **kw,
+        )
+        assert model.weights == alone.weights
+        assert model.bias == alone.bias
+        assert model.n_iter == alone.n_iter
+        assert model.converged == alone.converged
+        assert model.dropped_features == alone.dropped_features
+    return cv
+
+
+def reference_fit(X, labels, l2=1e-3, max_iter=5000, tol=1e-8):
+    """One fit at a time, scalar step size: the kernel's arithmetic unbatched."""
+    y = (labels == max(set(labels.tolist()))).astype(np.float64)
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    keep = std > 0
+    Xa = np.hstack([(X[:, keep] - mean[keep]) / std[keep], np.ones((len(X), 1))])
+    n, d = Xa.shape[0], Xa.shape[1] - 1
+    reg = np.concatenate([np.full(d, l2), [0.0]])
+
+    def loss(theta):
+        z = Xa @ theta
+        return np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(theta[:d], theta[:d])
+
+    theta = np.zeros(d + 1)
+    it = 0
+    for it in range(1, max_iter + 1):
+        z = Xa @ theta
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        grad = Xa.T @ (p - y) / n + reg * theta
+        if np.max(np.abs(grad)) < tol:
+            return theta, True, it
+        hess = (Xa * (p * (1.0 - p))[:, None]).T @ Xa / n + np.diag(reg + 1e-12)
+        step = np.linalg.solve(hess, grad)
+        base, slope, t = loss(theta), float(grad @ step), 1.0
+        for _ in range(60):
+            if loss(theta - t * step) <= base - 1e-4 * t * slope:
+                break
+            t *= 0.5
+        theta = theta - t * step
+    return theta, False, it
+
+
+class TestStackedKernel:
+    def test_fit_linear_matches_the_unbatched_loop(self):
+        table = ragged_table()
+        subjects = table.labels["subject"]
+        for g in ("s00", "s01", "s03"):
+            for max_iter in (3, 5000):
+                train = subjects != g
+                X, labels = table.matrix[train], table.labels["health"][train]
+                theta, converged, n_iter = reference_fit(X, labels, max_iter=max_iter)
+                model = fit_linear(X, labels, list(table.feature_names), max_iter=max_iter)
+                np.testing.assert_array_equal(
+                    np.append(model.weight_vector(), model.bias), theta)
+                assert (model.converged, model.n_iter) == (converged, n_iter)
+
+    def test_ragged_folds_match_their_single_fits_bit_for_bit(self):
+        table = ragged_table()
+        cv = assert_folds_match_single_fits(table)
+        # the constant column splits the folds into several shapes
+        assert cv.dropped_features == {"s01": ["f00"]}
+        assert all(m.converged for m in cv.fold_models.values())
+
+    def test_folds_stopped_by_max_iter_keep_their_own_state(self):
+        table = ragged_table()
+        full = loso_cv(table)
+        iters = sorted(m.n_iter for m in full.fold_models.values())
+        cap = iters[-1] - 1
+        cv = assert_folds_match_single_fits(table, max_iter=cap)
+        stopped = [m for m in cv.fold_models.values() if not m.converged]
+        assert stopped and len(stopped) < len(cv.fold_models)
+        assert all(m.n_iter == cap for m in stopped)
+        for g, m in cv.fold_models.items():
+            if m.converged:
+                assert m.n_iter == full.fold_models[g].n_iter
+
+    def test_each_fit_in_a_stack_backtracks_on_its_own(self):
+        # at l2=0 the first design halves its step once, at iteration 8
+        hard = np.array([
+            [-103.4, 111.8], [-2.5, 1.3], [0.4, 0.5], [0.3, 0.2], [0.7, 0.2],
+            [-0.7, 0.8], [-6.1, -6.8], [0.6, 4.0], [0.3, 0.2], [0.3, 0.5],
+        ])
+        labels = np.array(list("ababbbbaba"), dtype=object)
+        # the second takes full steps and is still iterating then
+        easy = np.random.default_rng(1).normal(size=hard.shape)
+        easy[:, 0] += 2.0 * (labels == "b")
+        stacked = _fit_prepared(
+            [_prepare(hard, labels, None), _prepare(easy, labels, None)], 0.0, 100, 1e-8
+        )
+        for X, model in zip((hard, easy), stacked):
+            alone = fit_linear(X, labels, l2=0.0, max_iter=100)
+            assert (model.weights, model.bias, model.n_iter) == (
+                alone.weights, alone.bias, alone.n_iter
+            )
+            theta, _, n_iter = reference_fit(X, labels, l2=0.0, max_iter=100)
+            np.testing.assert_array_equal(np.append(model.weight_vector(), model.bias), theta)
+            assert n_iter == model.n_iter
+
+    def test_singular_system_steps_along_the_gradient(self):
+        hess = np.stack([np.eye(2) * 2.0, np.zeros((2, 2)), np.eye(2) * 4.0])
+        grad = np.array([[1.0, 2.0], [3.0, 4.0], [4.0, 8.0]])
+        steps = _newton_steps(hess, grad)
+        np.testing.assert_array_equal(steps, [[0.5, 1.0], [3.0, 4.0], [1.0, 2.0]])
+
+    def test_loso_inside_a_pmap_worker_starts_no_pool(self, monkeypatch):
+        started = []
+
+        class CountingPool(_parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("VIBROAUDIT_THREADS", "2")
+        table = ragged_table()
+        accs = _parallel.pmap(lambda t: loso_cv(t).mean_repetition_accuracy, [table, table])
+        assert len(started) == 1
+        assert accs[0] == accs[1] == loso_cv(table).mean_repetition_accuracy
 
 
 # ---------------------------------------------------------------------------
