@@ -29,7 +29,9 @@ in this module is a way of asking it with the data alone:
 
 Everything is deterministic given (inputs, seed): stochastic steps draw
 from per-item counter-based streams, so parallel execution and repetition
-order cannot change any number.
+order cannot change any number.  The Monte-Carlo analyses (conditioning,
+mixing, rotation, counterfactual) draw first and score each distinct draw
+once, since a draw's accuracy is a pure function of what was drawn.
 """
 
 from __future__ import annotations
@@ -129,18 +131,9 @@ def band_scan(
     cvs: dict[int, CvResult] = {}
     skipped: dict[int, str] = {}
     for i, (lo, hi) in enumerate(bands):
-        if (lo, hi) == (cfg.band_lo, cfg.band_hi):
-            band_cfg = cfg
-        else:
-            band_cfg = FeatureConfig(
-                band_lo=lo,
-                band_hi=hi,
-                mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi),
-                aggregators=cfg.aggregators,
-                extra_features=cfg.extra_features,
-                taps=cfg.taps,
-                channel_mode=cfg.channel_mode,
-            )
+        band_cfg = cfg if (lo, hi) == (cfg.band_lo, cfg.band_hi) else replace(
+            cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)
+        )
         m = band_cfg.mfcc
         frame_len = m.frame_len(probe.sample_rate)
         n_fft = 1 << (frame_len - 1).bit_length()
@@ -343,6 +336,37 @@ def tone_prevalence_by_label(
 
 
 # ---------------------------------------------------------------------------
+# Monte-Carlo draws
+
+
+def _draw_accuracies(keys: Sequence, build, group_key: str, target: str) -> np.ndarray:
+    """LOSO accuracy of every draw, scoring each distinct key once.
+
+    ``build(key)`` gives the draw's table, or None where the cross
+    validation is undefined (NaN); a key fully determines its accuracy.
+    """
+
+    def score(key) -> float:
+        sub = build(key)
+        if sub is None:
+            return float("nan")
+        return loso_cv(sub, group_key=group_key, target=target).mean_repetition_accuracy
+
+    unique = list(dict.fromkeys(keys))
+    acc_of = dict(zip(unique, pmap(score, unique)))
+    return np.array([acc_of[key] for key in keys], dtype=np.float64)
+
+
+def _rows_in(table: FeatureTable, column: str, key, group_key: str, target: str):
+    """Rows whose ``column`` is in ``key``; None unless 2 classes and 2 groups remain."""
+    chosen = set(key)
+    sub = table.select(np.array([v in chosen for v in table.label(column)]))
+    if min(len(set(sub.label(c).tolist())) for c in (target, group_key)) < 2:
+        return None
+    return sub
+
+
+# ---------------------------------------------------------------------------
 # covariate predictability
 
 
@@ -455,7 +479,8 @@ def condition_on_covariate(
     the smaller sample alone.  The control distribution reruns the cross
     validation on ``control_repeats`` random subsets of
     ``control_fraction`` of the groups, so the stratum is judged against
-    what random shrinkage actually does on this dataset.
+    what random shrinkage actually does on this dataset.  A subset drawn
+    more than once is scored once.
     """
     if covariate not in ("device", "side"):
         raise ParameterError(
@@ -483,20 +508,16 @@ def condition_on_covariate(
     for v in values:
         sub = table.select(col == v)
         classes = set(sub.label(target).tolist())
-        groups = set(sub.label(group_key).tolist())
         if len(classes) < 2:
-            stratum_accuracy[str(v)] = float("nan")
-            stratum_notes[str(v)] = (
-                f"single-class stratum ({classes.pop()!r}); accuracy undefined"
-            )
+            note = f"single-class stratum ({classes.pop()!r}); accuracy undefined"
+        elif len(set(sub.label(group_key).tolist())) < 2:
+            note = "single group in stratum; accuracy undefined"
+        else:
+            stratum_cv[str(v)] = loso_cv(sub, group_key=group_key, target=target)
+            stratum_accuracy[str(v)] = stratum_cv[str(v)].mean_repetition_accuracy
             continue
-        if len(groups) < 2:
-            stratum_accuracy[str(v)] = float("nan")
-            stratum_notes[str(v)] = "single group in stratum; accuracy undefined"
-            continue
-        cv = loso_cv(sub, group_key=group_key, target=target)
-        stratum_accuracy[str(v)] = cv.mean_repetition_accuracy
-        stratum_cv[str(v)] = cv
+        stratum_accuracy[str(v)] = float("nan")
+        stratum_notes[str(v)] = note
 
     groups_all = sorted(set(table.label(group_key).tolist()))
     k = int(round(control_fraction * len(groups_all)))
@@ -505,18 +526,16 @@ def condition_on_covariate(
             f"control_fraction {control_fraction} keeps {k} of {len(groups_all)} "
             f"groups; need >= 2"
         )
-    group_col = table.label(group_key)
 
-    def one_control(i: int) -> float:
+    def draw(i: int) -> tuple[str, ...]:
         rng = stream(seed, substream_id("control", i))
         picked = rng.choice(len(groups_all), size=k, replace=False)
-        chosen = {groups_all[j] for j in picked}
-        sub = table.select(np.array([g in chosen for g in group_col]))
-        if len(set(sub.label(target).tolist())) < 2:
-            return float("nan")
-        return loso_cv(sub, group_key=group_key, target=target).mean_repetition_accuracy
+        return tuple(sorted(groups_all[j] for j in picked))
 
-    samples = np.array(pmap(one_control, range(control_repeats)), dtype=np.float64)
+    samples = _draw_accuracies(
+        [draw(i) for i in range(control_repeats)],
+        lambda key: _rows_in(table, group_key, key, group_key, target), group_key, target,
+    )
     valid = samples[~np.isnan(samples)]
     if len(valid) == 0:
         raise ParameterError(
@@ -588,9 +607,9 @@ def incremental_mixing_curve(
 
     For each count k, ``repeats`` subsets of k added-stratum sessions are
     drawn; the reference curve draws base+k sessions from the union, so
-    both curves share total size and differ only in composition.  Distinct
-    subsets are evaluated once and reused, which keeps the endpoint
-    (k = full stratum, a single possible subset) cheap.
+    both curves share total size and differ only in composition.  Each
+    distinct subset, the full pool included, is scored once, which keeps
+    the endpoint (k = full stratum, a single possible subset) cheap.
     """
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
@@ -619,42 +638,30 @@ def incremental_mixing_curve(
                 f"count {k} outside 1..{len(added_sessions)} added sessions"
             )
 
-    # draw all subsets first, then evaluate each distinct subset once
-    strat_keys: list[list[tuple[str, ...]]] = []
-    ref_keys: list[list[tuple[str, ...]]] = []
-    for j, k in enumerate(counts):
-        sk, rk = [], []
-        for i in range(repeats):
-            rng = stream(seed, substream_id("mixing", (j * repeats + i) * 2))
+    def draw(n: int) -> tuple[str, ...]:
+        # stream 2m draws the m-th stratified subset, 2m + 1 its reference
+        k = counts[n // (2 * repeats)]
+        rng = stream(seed, substream_id("mixing", n))
+        if n % 2 == 0:
             picked = rng.choice(len(added_sessions), size=k, replace=False)
-            sk.append(tuple(sorted(base_sessions + [added_sessions[p] for p in picked])))
-            rng = stream(seed, substream_id("mixing", (j * repeats + i) * 2 + 1))
-            picked = rng.choice(len(pool), size=len(base_sessions) + k, replace=False)
-            rk.append(tuple(sorted(pool[p] for p in picked)))
-        strat_keys.append(sk)
-        ref_keys.append(rk)
+            return tuple(sorted(base_sessions + [added_sessions[p] for p in picked]))
+        picked = rng.choice(len(pool), size=len(base_sessions) + k, replace=False)
+        return tuple(sorted(pool[p] for p in picked))
 
-    def eval_subset(key: tuple[str, ...]) -> float:
-        chosen = set(key)
-        sub = table.select(np.array([s in chosen for s in sess]))
-        if len(set(sub.label(target).tolist())) < 2:
-            return float("nan")
-        if len(set(sub.label(group_key).tolist())) < 2:
-            return float("nan")
-        return loso_cv(sub, group_key=group_key, target=target).mean_repetition_accuracy
-
-    unique = sorted({key for keys in strat_keys + ref_keys for key in keys})
-    acc_of = dict(zip(unique, pmap(eval_subset, unique)))
-
+    accs = _draw_accuracies(
+        [draw(n) for n in range(2 * len(counts) * repeats)] + [tuple(pool)],
+        lambda key: _rows_in(table, "session_id", key, group_key, target), group_key, target,
+    )
+    draws = accs[:-1].reshape(len(counts), repeats, 2)
     return MixingCurveResult(
         covariate=covariate,
         base_value=str(base_value),
         added_value=str(added_value),
         counts=counts,
-        stratified=[np.array([acc_of[key] for key in keys]) for keys in strat_keys],
-        reference=[np.array([acc_of[key] for key in keys]) for keys in ref_keys],
+        stratified=list(draws[:, :, 0]),
+        reference=list(draws[:, :, 1]),
         n_base_sessions=len(base_sessions),
-        full_accuracy=eval_subset(tuple(pool)),
+        full_accuracy=float(accs[-1]),
     )
 
 
@@ -686,14 +693,17 @@ class RotationResult:
     accuracy_vs_rotation: list[tuple[float, float]]
 
 
-def _axis_angle_degrees(v: np.ndarray) -> float:
-    """Orientation of an axis in (-90, 90] degrees."""
-    a = float(np.degrees(np.arctan2(v[1], v[0])))
+def _wrap90(a: float) -> float:
+    """An angle between axes (which carry no sign) in (-90, 90] degrees."""
     while a > 90.0:
         a -= 180.0
     while a <= -90.0:
         a += 180.0
     return a
+
+
+def _axis_angle_degrees(v: np.ndarray) -> float:
+    return _wrap90(float(np.degrees(np.arctan2(v[1], v[0]))))
 
 
 def rotation_analysis(
@@ -711,7 +721,8 @@ def rotation_analysis(
     is taken, and one subgroup is rotated about its own mean until the
     inter-axis angle equals each grid value.  Requesting the observed
     angle applies a zero rotation, leaving the rows bit-identical, so that
-    grid point reproduces the unmodified accuracy exactly.
+    grid point reproduces the unmodified accuracy exactly.  The observed
+    angle, 0 and the grid are scored once per distinct angle.
     """
     if len(table.feature_names) != 2:
         raise ParameterError(
@@ -755,18 +766,15 @@ def rotation_analysis(
     fixed_value = values[0] if rotate_value == values[1] else values[1]
     a_fixed = _axis_angle_degrees(axes[fixed_value].v1)
     a_rot = _axis_angle_degrees(axes[rotate_value].v1)
-    phi_signed = a_rot - a_fixed
-    while phi_signed > 90.0:
-        phi_signed -= 180.0
-    while phi_signed <= -90.0:
-        phi_signed += 180.0
+    phi_signed = _wrap90(a_rot - a_fixed)
     phi = abs(phi_signed)
     orient = 1.0 if phi_signed >= 0 else -1.0
 
     rot_mask = col == rotate_value
     center = z[rot_mask].mean(axis=0)
 
-    def accuracy_at(theta: float) -> float:
+    def table_at(theta: float) -> FeatureTable:
+        # theta = phi gives delta = 0 exactly: the unmodified rows
         delta = orient * theta - phi_signed
         pts = z
         if delta != 0.0:
@@ -776,19 +784,14 @@ def rotation_analysis(
             )
             pts = z.copy()
             pts[rot_mask] = (z[rot_mask] - center) @ rot.T + center
-        t2 = FeatureTable(
+        return FeatureTable(
             feature_names=list(table.feature_names),
             matrix=pts,
             labels=dict(table.labels),
             repetition_index=table.repetition_index,
         )
-        return loso_cv(t2, group_key=group_key, target=target).mean_repetition_accuracy
 
-    unmodified = accuracy_at(phi)
-    curve_accs = pmap(accuracy_at, grid)
-    aligned = (
-        curve_accs[grid.index(0.0)] if 0.0 in grid else accuracy_at(0.0)
-    )
+    accs = _draw_accuracies([phi, 0.0] + grid, table_at, group_key, target).tolist()
     return RotationResult(
         subgroup_key=subgroup_key,
         subgroup_values=(str(values[0]), str(values[1])),
@@ -797,9 +800,9 @@ def rotation_analysis(
         v_a=axes[values[0]].v1,
         v_b=axes[values[1]].v1,
         phi_degrees=phi,
-        unmodified_accuracy=unmodified,
-        accuracy_at_aligned=aligned,
-        accuracy_vs_rotation=list(zip(grid, curve_accs)),
+        unmodified_accuracy=accs[0],
+        accuracy_at_aligned=accs[1],
+        accuracy_vs_rotation=list(zip(grid, accs[2:])),
     )
 
 
@@ -841,7 +844,8 @@ def counterfactual_relabel(
     two legs of one subject may differ), so the permutation null keeps
     the counterfactual subjects and shuffles the class assignment across
     the groups, preserving class balance.  The reported delta isolates
-    what the specific assignment adds over any assignment.
+    what the specific assignment adds over any assignment.  Each distinct
+    shuffled assignment is scored once.
     """
     if n_permutations < 0:
         raise ParameterError(f"n_permutations must be >= 0, got {n_permutations}")
@@ -851,27 +855,23 @@ def counterfactual_relabel(
     if missing:
         raise ParameterError(f"relabel spec misses groups: {missing[:5]}")
 
-    def relabeled(health_of: Mapping[str, str]) -> FeatureTable:
+    def relabeled(classes: Sequence[str]) -> FeatureTable:
+        health_of = dict(zip(group_values, classes))
         t2 = table.select(np.ones(table.n_rows, dtype=bool))
-        t2.labels = dict(t2.labels)
-        t2.labels["subject"] = np.array(
-            [relabel[g][0] for g in groups], dtype=object
-        )
+        t2.labels["subject"] = np.array([relabel[g][0] for g in groups], dtype=object)
         t2.labels[target] = np.array([health_of[g] for g in groups], dtype=object)
         return t2
 
-    observed_health = {g: relabel[g][1] for g in group_values}
-    cv = loso_cv(relabeled(observed_health), group_key="subject", target=target)
+    balance = np.array([relabel[g][1] for g in group_values], dtype=object)
+    cv = loso_cv(relabeled(balance), group_key="subject", target=target)
 
-    balance = np.array([observed_health[g] for g in group_values], dtype=object)
-
-    def one_permutation(i: int) -> float:
+    def draw(i: int) -> tuple[str, ...]:
         rng = stream(seed, substream_id("permutation", i))
-        shuffled = balance[rng.permutation(len(balance))]
-        t3 = relabeled(dict(zip(group_values, shuffled)))
-        return loso_cv(t3, group_key="subject", target=target).mean_repetition_accuracy
+        return tuple(balance[rng.permutation(len(balance))])
 
-    null = np.array(pmap(one_permutation, range(n_permutations)), dtype=np.float64)
+    null = _draw_accuracies(
+        [draw(i) for i in range(n_permutations)], relabeled, "subject", target
+    )
     null_mean = float(null.mean()) if len(null) else float("nan")
     return RelabelResult(
         cv=cv,

@@ -279,6 +279,17 @@ def _detect_all_sessions(manifest: Manifest) -> dict:
     return {rec.session_id: d for rec, d in zip(manifest.sessions, detections)}
 
 
+def _check_spectrogram_ids(manifest: Manifest) -> None:
+    """Session ids name the spectrogram files, so each must be a plain file name."""
+    for rec in manifest.sessions:
+        sid = rec.session_id
+        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
+            raise ParameterError(
+                f"--spectrogram-csv names files after session ids, and {sid!r} "
+                f"is not a plain file name"
+            )
+
+
 def _emit_spectrograms(out_dir: Path, manifest: Manifest) -> None:
     for rec in manifest.sessions:
         spec = _session_spectrogram(manifest, rec)
@@ -343,6 +354,8 @@ def cmd_audit(args) -> int:
     suite = args.analysis == "suite"
 
     manifest = load_manifest(args.manifest) if args.manifest else None
+    if args.spectrogram_csv and manifest is not None:
+        _check_spectrogram_ids(manifest)
     cfg = _load_feature_config(args.config, manifest)
 
     needs_table = suite or args.analysis in (

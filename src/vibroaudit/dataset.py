@@ -72,11 +72,40 @@ class Manifest:
         return p if p.is_absolute() else self.root / p
 
 
+def _json_int(value, where: str, key: str) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, bool) or (isinstance(value, float) and value != n):
+        raise ManifestError(f"{where}: {key} must be an integer, got {value!r}")
+    return n
+
+
+def _json_boundaries(value, where: str) -> list[float] | None:
+    if value is None:
+        return None
+    try:
+        bounds = [float(b) for b in value] if isinstance(value, list) else None
+    except (TypeError, ValueError, OverflowError):
+        bounds = None
+    if bounds is None or not all(np.isfinite(bounds)):
+        raise ManifestError(
+            f"{where}: repetition_boundaries must be a list of finite numbers, got {value!r}"
+        )
+    return bounds
+
+
 def _session_from_json(obj: dict, where: str) -> SessionRecord:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{where}: a session must be an object, got {obj!r}")
     required = ("session_id", "subject_id", "side", "device_id", "health_label", "wav_path", "n_repetitions")
     for key in required:
         if key not in obj:
             raise ManifestError(f"{where}: missing required field {key!r}")
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ManifestError(f"{where}: metadata must be an object, got {metadata!r}")
     rec = SessionRecord(
         session_id=str(obj["session_id"]),
         subject_id=str(obj["subject_id"]),
@@ -84,13 +113,9 @@ def _session_from_json(obj: dict, where: str) -> SessionRecord:
         device_id=str(obj["device_id"]),
         health_label=str(obj["health_label"]),
         wav_path=str(obj["wav_path"]),
-        n_repetitions=int(obj["n_repetitions"]),
-        repetition_boundaries=(
-            [float(b) for b in obj["repetition_boundaries"]]
-            if obj.get("repetition_boundaries") is not None
-            else None
-        ),
-        metadata=dict(obj.get("metadata", {})),
+        n_repetitions=_json_int(obj["n_repetitions"], where, "n_repetitions"),
+        repetition_boundaries=_json_boundaries(obj.get("repetition_boundaries"), where),
+        metadata=dict(metadata),
     )
     if rec.health_label not in HEALTH_LABELS:
         raise ManifestError(
@@ -120,6 +145,8 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("sessions"), list):
         raise ManifestError(f"{path}: top level must be an object with a 'sessions' list")
     sessions = [
@@ -134,7 +161,11 @@ def load_manifest(path) -> Manifest:
     manifest = Manifest(sessions=sessions, root=path.parent)
     for rec in sessions:
         wav = manifest.wav_file(rec)
-        if not wav.exists():
+        try:
+            found = wav.is_file()
+        except OSError:  # e.g. a name too long for the file system
+            found = False
+        if not found:
             raise ManifestError(f"session {rec.session_id}: wav file missing: {wav}")
     return manifest
 
@@ -198,6 +229,8 @@ def ingest_wav(path) -> Signal:
     audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if n_channels not in (1, 2):
         raise FormatError(f"{path}: {n_channels} channels unsupported (need 1 or 2)")
+    if audio_format in (1, 3) and bits in (16, 32) and len(payload) % (bits // 8):
+        raise FormatError(f"{path}: {bits}-bit payload of {len(payload)} bytes")
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 1 and bits == 24:
@@ -219,7 +252,10 @@ def ingest_wav(path) -> Signal:
         if len(raw) % 2:
             raise FormatError(f"{path}: odd sample count for 2-channel data")
         raw = raw.reshape(-1, 2)
-    return Signal(raw, float(sample_rate))
+    try:
+        return Signal(raw, float(sample_rate))
+    except ParameterError as exc:  # zero sample rate, non-finite samples
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
@@ -631,22 +667,39 @@ class FeatureTable:
         labels: dict[str, list[str]] = {"session_id": [], "subject": [], "health": [], "side": [], "device": []}
         reps = []
         rows = []
-        for parts in records[1:]:
+        for row, parts in enumerate(records[1:], start=1):
             if len(parts) != len(header):
                 raise FormatError(f"{path}: row with {len(parts)} fields, expected {len(header)}")
             labels["session_id"].append(parts[0])
-            reps.append(int(parts[1]))
             labels["subject"].append(parts[2])
             labels["health"].append(parts[3])
             labels["side"].append(parts[4])
             labels["device"].append(parts[5])
-            rows.append([float(v) for v in parts[6:]])
+            try:
+                reps.append(int(parts[1]))
+                rows.append([float(v) for v in parts[6:]])
+            except ValueError:
+                raise _bad_number(path, row, header, parts) from None
         return FeatureTable(
             feature_names=names,
             matrix=np.array(rows, dtype=np.float64).reshape(len(rows), len(names)),
             labels={k: np.array(v, dtype=object) for k, v in labels.items()},
             repetition_index=np.array(reps, dtype=np.int64),
         )
+
+
+def _bad_number(path, row: int, header: list[str], parts: list[str]) -> FormatError:
+    """The error naming the first field of a feature CSV row that does not parse."""
+    for j in [1] + list(range(len(LABEL_COLUMNS), len(parts))):
+        kind = int if j == 1 else float
+        try:
+            kind(parts[j])
+        except ValueError:
+            return FormatError(
+                f"{path}: data row {row}, column {header[j]!r}: "
+                f"{parts[j]!r} is not {'an integer' if j == 1 else 'a number'}"
+            )
+    raise AssertionError("no unparsable field in the row")
 
 
 def extract_table(manifest: Manifest, cfg: FeatureConfig) -> FeatureTable:

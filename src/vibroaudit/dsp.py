@@ -256,7 +256,7 @@ def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
 
     Returns shape (n_frames, frame_len // 2 + 1).  Kept separate from
     :func:`stft` because the public Spectrogram carries magnitudes only;
-    :func:`istft` needs the phase.
+    :func:`spectral_frame_energy` takes these coefficients.
     """
     if signal.channels != 1:
         raise ParameterError("stft expects a mono signal; use Signal.channel() first")
@@ -302,33 +302,6 @@ def spectral_frame_energy(coeffs: np.ndarray, frame_len: int) -> np.ndarray:
     if frame_len % 2 == 0:
         weights[-1] = 1.0
     return power @ weights / frame_len
-
-
-def istft(coeffs: np.ndarray, frame_len: int, hop: int, length: int | None = None) -> np.ndarray:
-    """Weighted overlap-add inverse of :func:`stft_complex`.
-
-    Uses the analysis Hann as synthesis window and divides by the summed
-    squared window.  Samples within one frame of either end are covered
-    by too few windows for the normalization to be well conditioned;
-    reconstruction is exact (to float rounding) on the interior
-    [hop, n - hop) whenever hop <= frame_len / 2.
-    """
-    n_frames = coeffs.shape[0]
-    if n_frames == 0:
-        raise ParameterError("cannot invert an empty STFT")
-    w = _hann_periodic(frame_len)
-    total = (n_frames - 1) * hop + frame_len
-    acc = np.zeros(total)
-    den = np.zeros(total)
-    frames = np.fft.irfft(coeffs, n=frame_len, axis=1)
-    for k in range(n_frames):
-        sl = slice(k * hop, k * hop + frame_len)
-        acc[sl] += frames[k] * w
-        den[sl] += w * w
-    out = np.where(den > 1e-12, acc / np.maximum(den, 1e-12), 0.0)
-    if length is not None:
-        out = out[:length]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,52 +402,3 @@ def mfcc(signal: Signal, cfg: MfccConfig) -> np.ndarray:
     n_fft = (power.shape[1] - 1) * 2
     fbank = mel_filterbank(cfg.n_mels, n_fft, signal.sample_rate, cfg.fmin, cfg.fmax)
     return mfcc_from_power(power, fbank, cfg.n_coeffs, cfg.log_floor)
-
-
-# ---------------------------------------------------------------------------
-# spectrogram export (plot feeds)
-
-_GRID_MAGIC_NOTE = "layout: int32 n_frames, int32 n_bins, then row-major float32 magnitudes, all little-endian"
-
-
-def spectrogram_to_csv(spec: Spectrogram, path) -> None:
-    """Write (frame_time, bin_freq, magnitude) rows with a header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame_time,bin_freq,magnitude\n")
-        for t_idx in range(spec.n_frames):
-            t = spec.frame_times[t_idx]
-            row = spec.magnitudes[t_idx]
-            for b_idx in range(spec.n_bins):
-                fh.write(f"{t:.9g},{spec.bin_freqs[b_idx]:.9g},{row[b_idx]:.9g}\n")
-
-
-def spectrogram_to_binary(spec: Spectrogram, path) -> None:
-    """Write the compact binary grid.
-
-    Layout, all little-endian: int32 n_frames, int32 n_bins, then
-    n_frames * n_bins row-major (time-major) float32 magnitudes.
-    """
-    with open(path, "wb") as fh:
-        fh.write(np.array([spec.n_frames, spec.n_bins], dtype="<i4").tobytes())
-        fh.write(spec.magnitudes.astype("<f4").tobytes())
-
-
-def read_spectrogram_binary(path) -> tuple[int, int, np.ndarray]:
-    """Read back the binary grid; returns (n_frames, n_bins, magnitudes)."""
-    from .errors import FormatError
-
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise FormatError(f"{path}: truncated spectrogram grid header")
-        n_frames, n_bins = (int(v) for v in np.frombuffer(head, dtype="<i4"))
-        if n_frames < 0 or n_bins < 0:
-            raise FormatError(f"{path}: negative grid dimensions")
-        body = fh.read()
-    expected = n_frames * n_bins * 4
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: grid body has {len(body)} bytes, expected {expected}"
-        )
-    grid = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(n_frames, n_bins)
-    return n_frames, n_bins, grid

@@ -7,7 +7,7 @@ The subtypes distinguish what went wrong:
 * :class:`ParameterError`   -- a caller-supplied value is out of range or
   inconsistent with other values (bad band edges, non-positive sizes, ...).
 * :class:`FormatError`      -- a file or byte stream does not parse
-  (malformed WAV, bad manifest JSON, truncated spectrogram grid).
+  (malformed WAV, bad manifest JSON, non-numeric feature CSV field).
 * :class:`ManifestError`    -- a manifest parsed, but its content is
   unusable (missing sessions, duplicate ids, dangling file references).
 * :class:`CapacityError`    -- a request exceeds a hard structural limit

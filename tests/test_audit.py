@@ -1,11 +1,14 @@
 """Tests for the bias-detection battery."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import fisher_exact
 
+import vibroaudit.audit as audit
 import vibroaudit.sigsynth as sg
 from tablegen import (
     assemble_table,
@@ -26,7 +29,8 @@ from vibroaudit.audit import (
     rotation_analysis,
     tone_prevalence_by_label,
 )
-from vibroaudit.dataset import FeatureConfig, extract_table, load_manifest
+from vibroaudit._rng import stream, substream_id
+from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, load_manifest
 from vibroaudit.dsp import Signal, stft
 from vibroaudit.errors import DegeneracyError, ParameterError
 from vibroaudit.learn import loso_cv
@@ -680,3 +684,152 @@ class TestCounterfactualRelabel:
         relabel = {f"day{d}": (f"day-{d}", "Healthy") for d in range(5)}
         with pytest.raises(ParameterError, match="n_permutations"):
             counterfactual_relabel(table, relabel, n_permutations=-1)
+
+
+# ---------------------------------------------------------------------------
+# each distinct Monte-Carlo draw is scored once
+
+DAY_RELABEL = {
+    f"day{d}": (f"day-{d}", "Healthy" if d < 2 else "Unhealthy") for d in range(5)
+}
+
+
+def _accuracy_or_nan(table, group_key="subject", target="health"):
+    if min(len(set(table.label(c).tolist())) for c in (group_key, target)) < 2:
+        return float("nan")
+    return loso_cv(table, group_key=group_key, target=target).mean_repetition_accuracy
+
+
+def _rows_in(table, column, chosen):
+    return table.select(np.array([v in chosen for v in table.label(column)]))
+
+
+def _wrap90(a):
+    while a > 90.0:
+        a -= 180.0
+    while a <= -90.0:
+        a += 180.0
+    return a
+
+
+class TestDistinctDrawsScoredOnce:
+    """Every draw's accuracy equals a plain loop that scores each draw from
+    its own stream id, duplicates included."""
+
+    def test_control_samples_equal_a_per_draw_loop(self):
+        # 6 subjects, 3 per draw: 20 distinct subsets for 40 draws
+        table = device_shortcut_table(n_subjects=6)
+        res = condition_on_covariate(table, "device", control_repeats=40, seed=2)
+        groups = sorted(set(table.label("subject").tolist()))
+        ref = []
+        for i in range(40):
+            picked = stream(2, substream_id("control", i)).choice(6, size=3, replace=False)
+            sub = _rows_in(table, "subject", {groups[j] for j in picked})
+            ref.append(_accuracy_or_nan(sub))
+        assert np.array_equal(res.control_samples, ref, equal_nan=True)
+
+    def test_mixing_curves_equal_a_per_draw_loop(self):
+        table = device_shortcut_table(n_subjects=4)
+        counts, repeats, seed = [1, 3, 4], 5, 1
+        res = incremental_mixing_curve(
+            table, "device", "DL", "DR", counts=counts, repeats=repeats, seed=seed
+        )
+        sess, dev = table.label("session_id"), table.label("device")
+        base = sorted(set(sess[dev == "DL"].tolist()))
+        added = sorted(set(sess[dev == "DR"].tolist()))
+        pool = sorted(base + added)
+        for j, k in enumerate(counts):
+            strat, ref = [], []
+            for i in range(repeats):
+                n = (j * repeats + i) * 2
+                rng = stream(seed, substream_id("mixing", n))
+                chosen = set(base) | {added[p] for p in rng.choice(4, size=k, replace=False)}
+                strat.append(_accuracy_or_nan(_rows_in(table, "session_id", chosen)))
+                rng = stream(seed, substream_id("mixing", n + 1))
+                chosen = {pool[p] for p in rng.choice(8, size=4 + k, replace=False)}
+                ref.append(_accuracy_or_nan(_rows_in(table, "session_id", chosen)))
+            assert np.array_equal(res.stratified[j], strat, equal_nan=True)
+            assert np.array_equal(res.reference[j], ref, equal_nan=True)
+        assert res.full_accuracy == _accuracy_or_nan(table)
+
+    def test_rotation_accuracies_equal_a_per_angle_loop(self):
+        table = rotated_pair_table(n_subjects=6, reps=4, seed=0)
+        phi = rotation_analysis(table, "side", []).phi_degrees
+        grid = [0.0, 30.0, phi, 30.0, 90.0]
+        res = rotation_analysis(table, "side", grid)
+
+        z = (table.matrix - table.matrix.mean(axis=0)) / table.matrix.std(axis=0)
+        right = table.label("side") == "right"
+        a_left, a_right = (
+            _wrap90(float(np.degrees(np.arctan2(v[1], v[0])))) for v in (res.v_a, res.v_b)
+        )
+        phi_signed = _wrap90(a_right - a_left)
+        orient = 1.0 if phi_signed >= 0 else -1.0
+        center = z[right].mean(axis=0)
+
+        def accuracy_at(theta):
+            pts = z.copy()
+            r = np.radians(orient * theta - phi_signed)
+            if r != 0.0:
+                rot = np.array([[np.cos(r), -np.sin(r)], [np.sin(r), np.cos(r)]])
+                pts[right] = (z[right] - center) @ rot.T + center
+            t2 = FeatureTable(
+                list(table.feature_names), pts, dict(table.labels), table.repetition_index
+            )
+            return loso_cv(t2).mean_repetition_accuracy
+
+        assert res.accuracy_vs_rotation == [(t, accuracy_at(t)) for t in grid]
+        assert res.unmodified_accuracy == accuracy_at(phi)
+        assert res.accuracy_at_aligned == accuracy_at(0.0)
+
+    def test_null_equals_a_per_permutation_loop(self):
+        table = day_level_table()
+        res = counterfactual_relabel(table, DAY_RELABEL, n_permutations=40, seed=3)
+        days = sorted(DAY_RELABEL)
+        balance = np.array([DAY_RELABEL[d][1] for d in days], dtype=object)
+        sess = table.label("session_id")
+        ref = []
+        for i in range(40):
+            health_of = dict(zip(days, balance[stream(3, substream_id("permutation", i)).permutation(5)]))
+            t = table.select(np.ones(table.n_rows, dtype=bool))
+            t.labels["subject"] = np.array([DAY_RELABEL[g][0] for g in sess], dtype=object)
+            t.labels["health"] = np.array([health_of[g] for g in sess], dtype=object)
+            ref.append(loso_cv(t).mean_repetition_accuracy)
+        assert np.array_equal(res.null_accuracies, ref)
+
+    def test_counterfactual_fits_one_loso_per_distinct_assignment(self, monkeypatch):
+        real, calls = audit.loso_cv, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(audit, "loso_cv", counting)
+        res = counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=200)
+        assert len(res.null_accuracies) == 200
+        # the observed assignment plus at most C(5, 2) shuffled ones
+        assert len(calls) <= 1 + comb(5, 2)
+
+    def test_thread_count_does_not_change_any_draw(self, monkeypatch):
+        def all_draws():
+            cond = condition_on_covariate(
+                device_shortcut_table(n_subjects=6), "device", control_repeats=30, seed=4
+            )
+            mix = incremental_mixing_curve(
+                device_shortcut_table(n_subjects=4), "device", "DL", "DR",
+                counts=[2, 4], repeats=4, seed=4,
+            )
+            rot = rotation_analysis(rotated_pair_table(n_subjects=6, reps=4), "side", [0.0, 45.0])
+            cf = counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=30, seed=4)
+            return [
+                cond.control_samples, *mix.stratified, *mix.reference,
+                np.array([mix.full_accuracy, rot.unmodified_accuracy, rot.accuracy_at_aligned]),
+                np.array([a for _, a in rot.accuracy_vs_rotation]), cf.null_accuracies,
+            ]
+
+        monkeypatch.setenv("VIBROAUDIT_THREADS", "1")
+        serial = all_draws()
+        monkeypatch.delenv("VIBROAUDIT_THREADS")
+        threaded = all_draws()
+        for a, b in zip(serial, threaded, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)

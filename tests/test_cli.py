@@ -300,6 +300,51 @@ class TestErrorPaths:
         assert rc == EXIT_ERROR
         assert "device" in capsys.readouterr().err
 
+    def test_non_numeric_feature_csv_field_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "features.csv"
+        device_shortcut_table().to_csv(csv_path)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = "x"
+        lines[3] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = run(
+            "audit", "covariate", "--features", str(csv_path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "data row 3, column 'repetition_index': 'x' is not an integer" in err
+
+    def test_spectrogram_csv_writes_one_file_per_session(self, tone_dataset, tmp_path):
+        out = tmp_path / "out"
+        rc = run(
+            "audit", "tones", "--manifest", str(tone_dataset / "manifest.json"),
+            "--spectrogram-csv", "--out", str(out),
+        )
+        assert rc in (EXIT_OK, EXIT_FLAGS)
+        names = sorted(p.name for p in out.glob("spectrogram_*.csv"))
+        assert names == [f"spectrogram_sess{i:03d}.csv" for i in range(6)]
+
+    @pytest.mark.parametrize("bad_id", ["../escape", "a\\b", ".."])
+    def test_spectrogram_csv_rejects_ids_that_are_not_file_names(
+        self, tone_dataset, tmp_path, capsys, bad_id
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(tone_dataset, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["sessions"][1]["session_id"] = bad_id
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "deep" / "out"
+        rc = run(
+            "audit", "tones", "--manifest", str(data / "manifest.json"),
+            "--spectrogram-csv", "--out", str(out),
+        )
+        assert rc == EXIT_ERROR
+        assert "not a plain file name" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != data]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")

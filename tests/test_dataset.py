@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibroaudit.dataset import (
     FeatureConfig,
@@ -21,7 +23,7 @@ from vibroaudit.dataset import (
     write_wav,
 )
 from vibroaudit.dsp import Signal
-from vibroaudit.errors import FormatError, ManifestError, ParameterError
+from vibroaudit.errors import FormatError, ManifestError, ParameterError, VibroauditError
 
 FS = 100_000.0
 
@@ -110,6 +112,29 @@ class TestManifest:
     def test_not_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text("not json {")
         with pytest.raises(ManifestError):
+            load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("value", ["x", 2.5, None, [2], True])
+    def test_non_integer_n_repetitions(self, tmp_path, value):
+        small_wav(tmp_path / "s000.wav")
+        sessions = [session_obj(0, n_repetitions=value)]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        with pytest.raises(ManifestError, match="n_repetitions must be an integer"):
+            load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize(
+        "bounds", [[0.0, float("nan"), 2.0], [0.0, float("inf")], ["a", "b"], 3.0, [[1.0]]]
+    )
+    def test_bad_boundaries(self, tmp_path, bounds):
+        small_wav(tmp_path / "s000.wav")
+        sessions = [session_obj(0, n_repetitions=1, repetition_boundaries=bounds)]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        with pytest.raises(ManifestError, match="repetition_boundaries"):
+            load_manifest(tmp_path / "manifest.json")
+
+    def test_session_must_be_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload([["s000"]])))
+        with pytest.raises(ManifestError, match="must be an object"):
             load_manifest(tmp_path / "manifest.json")
 
     def test_save_round_trip(self, tmp_path):
@@ -229,6 +254,27 @@ class TestWav:
         path = tmp_path / "mp3ish.wav"
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="unsupported encoding"):
+            ingest_wav(path)
+
+    def test_odd_sized_pcm16_payload(self, tmp_path):
+        body = b"\x00" * 7
+        raw = (
+            b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 1000, 2000, 2, 16)
+            + b"data" + struct.pack("<I", len(body)) + body
+        )
+        path = tmp_path / "odd.wav"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="16-bit payload of 7 bytes"):
+            ingest_wav(path)
+
+    def test_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        small_wav(path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = struct.pack("<I", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="sample_rate"):
             ingest_wav(path)
 
     def test_pcm16_round_trip_close(self, tmp_path):
@@ -500,8 +546,104 @@ class TestFeatureTable:
         with pytest.raises(FormatError, match="field limit"):
             FeatureTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [("repetition_index", "x", "is not an integer"),
+         ("f1", "abc", "is not a number")],
+    )
+    def test_non_numeric_field_names_row_and_column(self, tmp_path, column, value, message):
+        header = ["session_id", "repetition_index", "subject", "health", "side", "device", "f0", "f1"]
+        rows = [["s0", "0", "a", "Healthy", "left", "D0", "1.0", "2.0"] for _ in range(2)]
+        rows[1][header.index(column)] = value
+        path = tmp_path / "bad_field.csv"
+        path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+        with pytest.raises(FormatError, match=f"row 2, column '{column}': '{value}' {message}"):
+            FeatureTable.from_csv(path)
+
     def test_bad_csv_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(FormatError):
             FeatureTable.from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input ends in a package error, never another exception
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=300),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+fmt_bodies = st.builds(
+    lambda tag, ch, rate, bits, extra: struct.pack(
+        "<HHIIHH", tag, ch, rate, rate * ch * bits // 8 % 2**32, ch * bits // 8, bits
+    ) + extra,
+    st.sampled_from([1, 3, 85]),
+    st.integers(0, 3),
+    st.sampled_from([0, 1, 1000, 2**32 - 1]),
+    st.sampled_from([0, 8, 16, 24, 32, 64]),
+    st.binary(max_size=4),
+)
+
+chunks = st.tuples(
+    st.sampled_from([b"fmt ", b"data", b"LIST", b"junk"]),
+    fmt_bodies | st.binary(max_size=40),
+    st.integers(-3, 3),
+)
+
+
+def _wav_bytes(chunk_list, cut):
+    body = b"WAVE"
+    for cid, payload, size_delta in chunk_list:
+        body += cid + struct.pack("<I", max(0, len(payload) + size_delta)) + payload
+    raw = b"RIFF" + struct.pack("<I", len(body)) + body
+    return raw[:cut] if cut is not None else raw
+
+
+class TestFuzz:
+    @given(chunk_list=st.lists(chunks, max_size=4), cut=st.none() | st.integers(0, 120))
+    @settings(max_examples=300, deadline=None)
+    def test_ingest_wav_raises_only_package_errors(self, tmp_path_factory, chunk_list, cut):
+        path = tmp_path_factory.mktemp("fuzzwav") / "x.wav"
+        path.write_bytes(_wav_bytes(chunk_list, cut))
+        try:
+            sig = ingest_wav(path)
+        except VibroauditError:
+            return
+        assert sig.sample_rate > 0 and np.all(np.isfinite(sig.samples))
+
+    @given(
+        over=st.dictionaries(
+            st.sampled_from(
+                ["session_id", "side", "health_label", "wav_path", "n_repetitions",
+                 "repetition_boundaries", "metadata"]
+            ),
+            json_values,
+            max_size=3,
+        ),
+        drop=st.sampled_from([None, "subject_id", "n_repetitions"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_load_manifest_raises_only_package_errors(self, tmp_path_factory, over, drop):
+        root = tmp_path_factory.mktemp("fuzzman")
+        small_wav(root / "s000.wav", n=50)
+        obj = session_obj(0) | over
+        obj.pop(drop, None)
+        (root / "manifest.json").write_text(json.dumps(manifest_payload([obj])))
+        try:
+            man = load_manifest(root / "manifest.json")
+        except ManifestError:
+            return
+        assert len(man.sessions) == 1
+
+    @given(raw=st.binary(max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_load_manifest_of_arbitrary_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzzbytes") / "manifest.json"
+        path.write_bytes(raw)
+        try:
+            load_manifest(path)
+        except ManifestError:
+            pass

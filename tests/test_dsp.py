@@ -21,20 +21,16 @@ from vibroaudit.dsp import (
     design_bandpass_fir,
     fir_response_db,
     hz_to_mel,
-    istft,
     mel_filterbank,
     mel_to_hz,
     mfcc,
     mfcc_from_power,
     power_frames,
-    read_spectrogram_binary,
     spectral_frame_energy,
-    spectrogram_to_binary,
-    spectrogram_to_csv,
     stft,
     stft_complex,
 )
-from vibroaudit.errors import FormatError, ParameterError
+from vibroaudit.errors import ParameterError
 
 FS = 100_000.0
 
@@ -272,19 +268,6 @@ class TestStft:
         with pytest.raises(ParameterError):
             stft(sine(1000, dur=0.1), 1024, 512, window="hamming")
 
-    @pytest.mark.parametrize("hop_div", [2, 4])
-    def test_istft_roundtrip_interior(self, hop_div):
-        rng = np.random.default_rng(11)
-        n = 8_192
-        x = rng.normal(size=n)
-        frame_len = 512
-        hop = frame_len // hop_div
-        coeffs = stft_complex(Signal(x, FS), frame_len, hop)
-        y = istft(coeffs, frame_len, hop, length=n)
-        core = slice(hop, n - frame_len)
-        err = np.linalg.norm(y[core] - x[core]) / np.linalg.norm(x[core])
-        assert err < 1e-6
-
 
 # ---------------------------------------------------------------------------
 # mel cepstrum
@@ -390,54 +373,6 @@ class TestMfcc:
             MfccConfig(fmin=100.0, fmax=8_000.0, n_coeffs=30)
         with pytest.raises(ParameterError):
             MfccConfig(fmin=5_000.0, fmax=100.0)
-
-
-# ---------------------------------------------------------------------------
-# spectrogram export
-
-
-class TestSpectrogramExport:
-    def make_spec(self):
-        return stft(sine(5_000, dur=0.05), 1024, 512)
-
-    def test_binary_roundtrip(self, tmp_path):
-        spec = self.make_spec()
-        path = tmp_path / "grid.bin"
-        spectrogram_to_binary(spec, path)
-        n_frames, n_bins, grid = read_spectrogram_binary(path)
-        assert (n_frames, n_bins) == (spec.n_frames, spec.n_bins)
-        np.testing.assert_allclose(grid, spec.magnitudes, rtol=1e-6, atol=1e-7)
-
-    def test_binary_layout(self, tmp_path):
-        spec = self.make_spec()
-        path = tmp_path / "grid.bin"
-        spectrogram_to_binary(spec, path)
-        raw = path.read_bytes()
-        dims = np.frombuffer(raw[:8], dtype="<i4")
-        assert list(dims) == [spec.n_frames, spec.n_bins]
-        assert len(raw) == 8 + 4 * spec.n_frames * spec.n_bins
-        first = np.frombuffer(raw[8:12], dtype="<f4")[0]
-        assert first == pytest.approx(spec.magnitudes[0, 0], rel=1e-6, abs=1e-7)
-
-    def test_binary_truncation_detected(self, tmp_path):
-        spec = self.make_spec()
-        path = tmp_path / "grid.bin"
-        spectrogram_to_binary(spec, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FormatError):
-            read_spectrogram_binary(path)
-
-    def test_csv_layout(self, tmp_path):
-        spec = self.make_spec()
-        path = tmp_path / "grid.csv"
-        spectrogram_to_csv(spec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "frame_time,bin_freq,magnitude"
-        assert len(lines) == 1 + spec.n_frames * spec.n_bins
-        t, f, m = (float(v) for v in lines[1].split(","))
-        assert t == pytest.approx(spec.frame_times[0], rel=1e-6)
-        assert f == pytest.approx(spec.bin_freqs[0], rel=1e-6)
-        assert m == pytest.approx(spec.magnitudes[0, 0], rel=1e-6, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
