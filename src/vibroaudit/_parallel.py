@@ -1,10 +1,12 @@
 """Bounded parallel mapping for independent work items.
 
-Work items in this package (sessions, folds, Monte-Carlo repeats, grid
-angles) are pure functions of explicit inputs plus a derived random
-stream, so executing them concurrently cannot change any result, only
-the wall time.  ``pmap`` runs them through a thread pool and gathers
-results in input order.
+Work items in this package are pure functions of explicit inputs plus
+a derived random stream, so executing them concurrently cannot change
+any result, only the wall time.  ``pmap`` runs them through a thread
+pool and gathers results in input order.  There are two kinds of work
+item: sessions (feature extraction, tone detection, cohort rendering)
+and the distinct draws of a Monte-Carlo analysis.  A work item never
+calls ``pmap`` itself, so pools are never nested.
 
 The ``VIBROAUDIT_THREADS`` environment variable caps the worker count.
 Unset or invalid values fall back to the machine CPU count; a cap of 1

@@ -38,11 +38,14 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     The pair fully determines the stream: equal pairs give bitwise-equal
     draws, distinct pairs give statistically independent streams.
     """
-    if master_seed < 0:
-        raise ParameterError(f"master_seed must be >= 0, got {master_seed}")
-    if stream_id < 0:
-        raise ParameterError(f"stream_id must be >= 0, got {stream_id}")
-    return np.random.Generator(np.random.Philox(key=[master_seed, stream_id]))
+    if not 0 <= master_seed < 2**64:
+        raise ParameterError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    if not 0 <= stream_id < 2**64:
+        raise ParameterError(f"stream_id must be in [0, 2**64), got {stream_id}")
+    # an explicit uint64 key: a plain list would go through int64 and
+    # fold seeds of 2**63 and above together
+    key = np.array([master_seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def substream_id(kind: str, index: int = 0) -> int:

@@ -49,7 +49,8 @@ from .dataset import (
     FeatureConfig,
     FeatureTable,
     Manifest,
-    extract_table,
+    extract_table,  # noqa: F401  unused here; perfbench/spans.py patches audit.extract_table
+    extract_tables,
     ingest_wav,
 )
 from .dsp import Spectrogram, mel_filterbank
@@ -59,7 +60,6 @@ from .learn import (
     CvResult,
     loso_cv,
     pca2,
-    principal_angle_degrees,
 )
 
 AUDIT_COVARIATES = ("device", "side", "subject")
@@ -120,7 +120,8 @@ def band_scan(
     the per-band accuracy reflects only information inside that band.  A
     band too narrow for the mel grid to resolve (some triangular filter
     covers no FFT bin) is skipped with a reason instead of producing
-    coefficients made of log-floor noise.
+    coefficients made of log-floor noise.  Each session is read and
+    segmented once for all bands.
     """
     if len({rec.subject_id for rec in manifest.sessions}) < 2:
         raise ParameterError("band scan needs >= 2 subjects")
@@ -128,8 +129,8 @@ def band_scan(
     _validate_bands(bands, probe.sample_rate / 2.0)
 
     accs = np.full(len(bands), np.nan)
-    cvs: dict[int, CvResult] = {}
     skipped: dict[int, str] = {}
+    scored: dict[int, FeatureConfig] = {}
     for i, (lo, hi) in enumerate(bands):
         band_cfg = cfg if (lo, hi) == (cfg.band_lo, cfg.band_hi) else replace(
             cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)
@@ -145,9 +146,10 @@ def band_scan(
                 f"{empty} of {m.n_mels} filters cover no FFT bin"
             )
             continue
-        table = extract_table(manifest, band_cfg)
-        cv = loso_cv(table, group_key=group_key, target=target)
-        cvs[i] = cv
+        scored[i] = band_cfg
+    tables = extract_tables(manifest, list(scored.values()))
+    cvs = {i: loso_cv(t, group_key=group_key, target=target) for i, t in zip(scored, tables)}
+    for i, cv in cvs.items():
         accs[i] = cv.mean_repetition_accuracy
     return BandScanResult(
         bands=[(float(lo), float(hi)) for lo, hi in bands],

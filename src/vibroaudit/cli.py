@@ -43,7 +43,7 @@ from .dataset import (
     ingest_wav,
     load_manifest,
 )
-from .dsp import Signal, Spectrogram, stft
+from .dsp import Signal, stft
 from .errors import ParameterError, UsageError, VibroauditError
 from .report import (
     AuditReport,
@@ -156,7 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_feature_config(path: str | None, manifest: Manifest | None = None) -> FeatureConfig:
+def _first_sample_rate(manifest: Manifest | None) -> float | None:
+    """Sample rate of the first session's recording, None without one."""
+    if manifest is None or not manifest.sessions:
+        return None
+    return ingest_wav(manifest.wav_file(manifest.sessions[0])).sample_rate
+
+
+def _load_feature_config(path: str | None, sample_rate: float | None) -> FeatureConfig:
     """Explicit config file, else band 250 Hz to 10 kHz.
 
     Without a config file the upper edge is clamped to 3/4 of the data's
@@ -167,9 +174,8 @@ def _load_feature_config(path: str | None, manifest: Manifest | None = None) -> 
         with open(path, encoding="utf-8") as fh:
             return FeatureConfig.from_json_dict(json.load(fh))
     hi = 10_000.0
-    if manifest is not None and manifest.sessions:
-        probe = ingest_wav(manifest.wav_file(manifest.sessions[0]))
-        hi = min(hi, 0.75 * (probe.sample_rate / 2.0))
+    if sample_rate is not None:
+        hi = min(hi, 0.75 * (sample_rate / 2.0))
     return FeatureConfig(band_lo=250.0, band_hi=hi)
 
 
@@ -240,7 +246,7 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
-    cfg = _load_feature_config(args.config, manifest)
+    cfg = _load_feature_config(args.config, None if args.config else _first_sample_rate(manifest))
     table = extract_table(manifest, cfg)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     table.to_csv(args.out)
@@ -259,21 +265,21 @@ def _tone_frame_len(sample_rate: float) -> int:
     return min(max(n, 256), 8192)
 
 
-def _session_spectrogram(manifest: Manifest, rec) -> Spectrogram:
-    sig = ingest_wav(manifest.wav_file(rec))
-    if sig.channels == 2:
-        sig = Signal(sig.samples.mean(axis=1), sig.sample_rate)
-    frame_len = _tone_frame_len(sig.sample_rate)
-    return stft(sig, frame_len, frame_len // 2)
-
-
-def _detect_all_sessions(manifest: Manifest) -> dict:
+def _detect_all_sessions(manifest: Manifest, spectrogram_dir: Path | None = None) -> dict:
+    """Tone detections per session; each spectrogram also goes to ``spectrogram_dir``."""
     def one(rec):
-        return detect_persistent_tones(
-            _session_spectrogram(manifest, rec),
-            persistence_min=TONE_PERSISTENCE_MIN,
-            prominence_min_db=TONE_PROMINENCE_MIN_DB,
-        )
+        sig = ingest_wav(manifest.wav_file(rec))
+        if sig.channels == 2:
+            sig = Signal(sig.samples.mean(axis=1), sig.sample_rate)
+        frame_len = _tone_frame_len(sig.sample_rate)
+        spec = stft(sig, frame_len, frame_len // 2)
+        found = detect_persistent_tones(spec, persistence_min=TONE_PERSISTENCE_MIN,
+                                        prominence_min_db=TONE_PROMINENCE_MIN_DB)
+        if spectrogram_dir is not None:
+            header = ["frame_time_s"] + [f"{f:.3f}" for f in spec.bin_freqs]
+            rows = ([spec.frame_times[i]] + list(spec.magnitudes[i]) for i in range(spec.n_frames))
+            write_series_csv(spectrogram_dir / f"spectrogram_{rec.session_id}.csv", header, rows)
+        return found
 
     detections = pmap(one, manifest.sessions)
     return {rec.session_id: d for rec, d in zip(manifest.sessions, detections)}
@@ -288,17 +294,6 @@ def _check_spectrogram_ids(manifest: Manifest) -> None:
                 f"--spectrogram-csv names files after session ids, and {sid!r} "
                 f"is not a plain file name"
             )
-
-
-def _emit_spectrograms(out_dir: Path, manifest: Manifest) -> None:
-    for rec in manifest.sessions:
-        spec = _session_spectrogram(manifest, rec)
-        header = ["frame_time_s"] + [f"{f:.3f}" for f in spec.bin_freqs]
-        rows = (
-            [spec.frame_times[i]] + list(spec.magnitudes[i])
-            for i in range(spec.n_frames)
-        )
-        write_series_csv(out_dir / f"spectrogram_{rec.session_id}.csv", header, rows)
 
 
 class _Timer:
@@ -356,7 +351,10 @@ def cmd_audit(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else None
     if args.spectrogram_csv and manifest is not None:
         _check_spectrogram_ids(manifest)
-    cfg = _load_feature_config(args.config, manifest)
+    # one probe serves both the default feature band and the default band plan
+    needs_rate = args.config is None or suite or args.analysis == "band-scan"
+    fs = _first_sample_rate(manifest) if needs_rate else None
+    cfg = _load_feature_config(args.config, fs)
 
     needs_table = suite or args.analysis in (
         "covariate", "condition", "mixing", "rotate", "counterfactual"
@@ -423,10 +421,9 @@ def cmd_audit(args) -> int:
 
     # --- band scan
     def do_band_scan() -> dict:
-        if manifest is None:
+        if fs is None:
             raise ParameterError("band scan needs --manifest")
-        probe = ingest_wav(manifest.wav_file(manifest.sessions[0]))
-        bands = _resolve_bands(args, probe.sample_rate / 2.0)
+        bands = _resolve_bands(args, fs / 2.0)
         res = band_scan(manifest, bands, cfg)
         emit_band_scan_csv(out_dir / "band_scan.csv", res)
         return band_scan_section(res, args.seed)
@@ -440,10 +437,8 @@ def cmd_audit(args) -> int:
         nonlocal detections
         if manifest is None:
             raise ParameterError("tone detection needs --manifest")
-        detections = _detect_all_sessions(manifest)
+        detections = _detect_all_sessions(manifest, out_dir if args.spectrogram_csv else None)
         emit_tones_csv(out_dir / "tones.csv", detections)
-        if args.spectrogram_csv:
-            _emit_spectrograms(out_dir, manifest)
         return tones_section(
             detections, args.seed, TONE_PERSISTENCE_MIN, TONE_PROMINENCE_MIN_DB
         )

@@ -680,9 +680,17 @@ class FeatureTable:
                 rows.append([float(v) for v in parts[6:]])
             except ValueError:
                 raise _bad_number(path, row, header, parts) from None
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+        bad = np.argwhere(~np.isfinite(matrix))
+        if len(bad):
+            i, j = bad[0]
+            raise FormatError(
+                f"{path}: data row {i + 1}, column {names[j]!r}: "
+                f"{records[i + 1][len(LABEL_COLUMNS) + j]!r} is not a finite number"
+            )
         return FeatureTable(
             feature_names=names,
-            matrix=np.array(rows, dtype=np.float64).reshape(len(rows), len(names)),
+            matrix=matrix,
             labels={k: np.array(v, dtype=object) for k, v in labels.items()},
             repetition_index=np.array(reps, dtype=np.int64),
         )
@@ -702,15 +710,18 @@ def _bad_number(path, row: int, header: list[str], parts: list[str]) -> FormatEr
     raise AssertionError("no unparsable field in the row")
 
 
+def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[FeatureTable]:
+    """One feature table per config, reading and segmenting each session once."""
+
+    def one_session(rec: SessionRecord) -> list[list[FeatureVector]]:
+        segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
+        return [[extract_features(seg, cfg, session=rec, repetition_index=k)
+                 for k, seg in enumerate(segments)] for cfg in cfgs]
+    per_session = pmap(one_session, manifest.sessions) if cfgs else []
+    return [FeatureTable.from_vectors([vec for vecs in per_session for vec in vecs[c]])
+            for c in range(len(cfgs))]
+
+
 def extract_table(manifest: Manifest, cfg: FeatureConfig) -> FeatureTable:
     """Run the feature map over every repetition of every session."""
-
-    def one_session(rec: SessionRecord) -> list[FeatureVector]:
-        signal = ingest_wav(manifest.wav_file(rec))
-        segments = segment_repetitions(signal, rec)
-        return [
-            extract_features(seg, cfg, session=rec, repetition_index=k)
-            for k, seg in enumerate(segments)
-        ]
-    per_session = pmap(one_session, manifest.sessions)
-    return FeatureTable.from_vectors([vec for vecs in per_session for vec in vecs])
+    return extract_tables(manifest, [cfg])[0]

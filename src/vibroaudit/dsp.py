@@ -228,27 +228,29 @@ def bandpass(signal: Signal, lo: float, hi: float, taps: int = DEFAULT_BANDPASS_
 # short-time Fourier analysis
 
 
-def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Slice a mono sample array into (n_frames, frame_len) frames.
 
     Frames start at 0, hop, 2*hop, ...; only frames that fit entirely
-    inside the signal are produced (no padding).
+    inside the signal are produced (no padding).  The frames are a
+    read-only strided view of ``x``, not a copy.
     """
     if x.ndim != 1:
         raise ParameterError("framing expects a mono sample array")
+    if hop < 1:
+        raise ParameterError(f"hop must be >= 1, got {hop}")
     n = len(x)
     if n < frame_len:
         raise ParameterError(
             f"signal of {n} samples is shorter than one frame ({frame_len} samples)"
         )
-    n_frames = 1 + (n - frame_len) // hop
-    starts = np.arange(n_frames) * hop
-    idx = starts[:, None] + np.arange(frame_len)[None, :]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+
+
+def _hann_rfft(x: np.ndarray, frame_len: int, hop: int, n_fft: int | None = None) -> np.ndarray:
+    """rfft of the periodic-Hann-windowed frames of ``x``, zero-padded to ``n_fft``."""
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_len) / frame_len)
+    return np.fft.rfft(frame_signal(x, frame_len, hop) * hann, n=n_fft, axis=1)
 
 
 def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
@@ -264,19 +266,16 @@ def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
         raise ParameterError(f"frame_len must be a power of two >= 2, got {frame_len}")
     if not (0 < hop <= frame_len):
         raise ParameterError(f"hop must satisfy 0 < hop <= frame_len, got {hop}")
-    frames = frame_signal(signal.samples, frame_len, hop)
-    return np.fft.rfft(frames * _hann_periodic(frame_len)[None, :], axis=1)
+    return _hann_rfft(signal.samples, frame_len, hop)
 
 
-def stft(signal: Signal, frame_len: int, hop: int, window: str = "hann") -> Spectrogram:
+def stft(signal: Signal, frame_len: int, hop: int) -> Spectrogram:
     """Magnitude spectrogram of a mono signal.
 
     ``frame_times`` are frame centers.  Frame energy satisfies Parseval
     against the Hann-windowed time frames (see
     :func:`spectral_frame_energy`).
     """
-    if window != "hann":
-        raise ParameterError(f"unsupported window {window!r}; only 'hann' is implemented")
     coeffs = stft_complex(signal, frame_len, hop)
     n_frames = coeffs.shape[0]
     starts = np.arange(n_frames) * hop
@@ -363,9 +362,8 @@ def power_frames(signal: Signal, frame_len: int, hop: int, n_fft: int | None = N
         n_fft = 1 << (frame_len - 1).bit_length()
     if n_fft < frame_len:
         raise ParameterError(f"n_fft ({n_fft}) must be >= frame_len ({frame_len})")
-    frames = frame_signal(signal.samples, frame_len, hop)
-    spec = np.fft.rfft(frames * _hann_periodic(frame_len)[None, :], n=n_fft, axis=1)
-    return np.fft.rfftfreq(n_fft, 1.0 / signal.sample_rate), np.abs(spec) ** 2
+    power = np.abs(_hann_rfft(signal.samples, frame_len, hop, n_fft)) ** 2
+    return np.fft.rfftfreq(n_fft, 1.0 / signal.sample_rate), power
 
 
 def mfcc_from_power(power: np.ndarray, fbank: np.ndarray, n_coeffs: int, log_floor: float) -> np.ndarray:

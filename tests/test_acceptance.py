@@ -57,6 +57,8 @@ from vibroaudit.sigsynth import (
 )
 from vibroaudit.sigsynth.presets import default_band_plan, recommended_feature_config
 
+pytestmark = pytest.mark.acceptance
+
 FS = 100_000.0
 TONE_BAND = (30_000.0, 40_000.0)
 

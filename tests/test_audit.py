@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import fisher_exact
 
 import vibroaudit.audit as audit
+import vibroaudit.dataset as dataset
 import vibroaudit.sigsynth as sg
 from tablegen import (
     assemble_table,
@@ -73,6 +74,34 @@ class TestBandScan:
         assert res.per_band_accuracy[0] == plain.mean_repetition_accuracy
         assert res.cv[0].per_group_accuracy == plain.per_group_accuracy
         assert res.skipped == {}
+
+        # a multi-band plan: every scored band equals its own extraction
+        plan = [(250.0, 10_000.0), (10_000.0, 20_000.0), (20_000.0, 20_050.0),
+                (30_000.0, 40_000.0)]
+        res = band_scan(tone_manifest, plan, cfg)
+        assert sorted(res.skipped) == [2]
+        for i in (0, 1, 3):
+            lo, hi = plan[i]
+            band_cfg = FeatureConfig(band_lo=lo, band_hi=hi)
+            plain = loso_cv(extract_table(tone_manifest, band_cfg))
+            got = res.cv[i]
+            assert res.per_band_accuracy[i] == plain.mean_repetition_accuracy
+            assert got.per_group_accuracy == plain.per_group_accuracy
+            assert np.array_equal(got.row_score, plain.row_score)
+            assert np.array_equal(got.row_pred, plain.row_pred)
+            assert got.fold_models == plain.fold_models
+
+    def test_each_session_is_read_once_for_all_bands(self, tone_manifest, monkeypatch):
+        reads = []
+        original = dataset.ingest_wav
+        monkeypatch.setattr(dataset, "ingest_wav", lambda p: reads.append(p) or original(p))
+        cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
+        plan = [(250.0, 10_000.0), (10_000.0, 20_000.0), (20_000.0, 30_000.0),
+                (30_000.0, 40_000.0), (40_000.0, 50_000.0)]
+        res = band_scan(tone_manifest, plan, cfg)
+        assert res.skipped == {}
+        wavs = [tone_manifest.wav_file(rec) for rec in tone_manifest.sessions]
+        assert sorted(map(str, reads)) == sorted(map(str, wavs))
 
     def test_narrow_band_skipped_with_reason_and_wide_band_scored(self, tone_manifest):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)

@@ -6,9 +6,10 @@ import shutil
 import pytest
 
 from tablegen import day_level_table, device_shortcut_table, rotated_pair_table
-from vibroaudit.cli import EXIT_ERROR, EXIT_FLAGS, EXIT_OK, main
-from vibroaudit.dataset import FeatureConfig, load_manifest
-from vibroaudit.report import canonical_json, read_report, strip_timing
+from vibroaudit.cli import EXIT_ERROR, EXIT_FLAGS, EXIT_OK, _tone_frame_len, main
+from vibroaudit.dataset import FeatureConfig, ingest_wav, load_manifest
+from vibroaudit.dsp import Signal, stft
+from vibroaudit.report import canonical_json, read_report, strip_timing, write_series_csv
 
 
 def run(*argv):
@@ -326,6 +327,68 @@ class TestErrorPaths:
         assert rc in (EXIT_OK, EXIT_FLAGS)
         names = sorted(p.name for p in out.glob("spectrogram_*.csv"))
         assert names == [f"spectrogram_sess{i:03d}.csv" for i in range(6)]
+
+    def test_spectrogram_csv_comes_from_the_session_stft_and_changes_nothing_else(
+        self, tone_dataset, tmp_path
+    ):
+        manifest_path = tone_dataset / "manifest.json"
+        plain, exported = tmp_path / "plain", tmp_path / "exported"
+        for out, extra in ((plain, []), (exported, ["--spectrogram-csv"])):
+            rc = run("audit", "tones", "--manifest", str(manifest_path), *extra,
+                     "--out", str(out))
+            assert rc in (EXIT_OK, EXIT_FLAGS)
+        assert (plain / "tones.csv").read_bytes() == (exported / "tones.csv").read_bytes()
+        assert canonical_json(strip_timing(read_report(plain / "report.json"))) == \
+            canonical_json(strip_timing(read_report(exported / "report.json")))
+        manifest = load_manifest(manifest_path)
+        for rec in manifest.sessions:
+            sig = ingest_wav(manifest.wav_file(rec))
+            if sig.channels == 2:
+                sig = Signal(sig.samples.mean(axis=1), sig.sample_rate)
+            frame_len = _tone_frame_len(sig.sample_rate)
+            spec = stft(sig, frame_len, frame_len // 2)
+            ref = tmp_path / "reference.csv"
+            write_series_csv(
+                ref,
+                ["frame_time_s"] + [f"{f:.3f}" for f in spec.bin_freqs],
+                ([spec.frame_times[i]] + list(spec.magnitudes[i]) for i in range(spec.n_frames)),
+            )
+            written = exported / f"spectrogram_{rec.session_id}.csv"
+            assert written.read_bytes() == ref.read_bytes()
+
+    def test_non_finite_feature_csv_field_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "features.csv"
+        device_shortcut_table().to_csv(csv_path)
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        for row, value in ((3, "nan"), (5, "inf")):
+            fields = lines[row].split(",")
+            fields[7] = value
+            lines[row] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = run(
+            "audit", "covariate", "--features", str(csv_path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"data row 3, column {header[7]!r}: 'nan' is not a finite number" in err
+
+    @pytest.mark.parametrize("command", ["synth", "condition"])
+    def test_seed_of_two_to_the_64_exits_one(self, tmp_path, capsys, command):
+        seed = str(2**64)
+        if command == "synth":
+            argv = ["synth", "--scenario", "clean", "--subjects", "2",
+                    "--repetitions", "1", "--duration", "0.5"]
+        else:
+            csv_path = tmp_path / "features.csv"
+            device_shortcut_table().to_csv(csv_path)
+            argv = ["audit", "condition", "--features", str(csv_path), "--repeats", "5"]
+        rc = run(*argv, "--seed", seed, "--out", str(tmp_path / "out"))
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "master_seed" in err
 
     @pytest.mark.parametrize("bad_id", ["../escape", "a\\b", ".."])
     def test_spectrogram_csv_rejects_ids_that_are_not_file_names(

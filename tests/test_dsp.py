@@ -20,6 +20,7 @@ from vibroaudit.dsp import (
     dct2_matrix,
     design_bandpass_fir,
     fir_response_db,
+    frame_signal,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -265,8 +266,42 @@ class TestStft:
             stft(sine(1000, dur=0.1), 1000, 500)  # not power of two
         with pytest.raises(ParameterError):
             stft(sine(1000, dur=0.1), 1024, 0)  # bad hop
-        with pytest.raises(ParameterError):
-            stft(sine(1000, dur=0.1), 1024, 512, window="hamming")
+
+
+def index_frames(x, frame_len, hop):
+    """Reference framing: gather every frame through an index matrix."""
+    n_frames = 1 + (len(x) - frame_len) // hop
+    starts = np.arange(n_frames) * hop
+    return x[starts[:, None] + np.arange(frame_len)[None, :]]
+
+
+class TestFrameSignal:
+    @pytest.mark.parametrize("n, frame_len, hop", [
+        (1000, 64, 1), (1000, 64, 64), (1000, 64, 100), (64, 64, 1), (64, 64, 7),
+        (1001, 64, 32),
+    ])
+    def test_equals_index_built_frames(self, n, frame_len, hop):
+        x = np.random.default_rng(n + hop).normal(size=n)
+        frames = frame_signal(x, frame_len, hop)
+        assert np.array_equal(frames, index_frames(x, frame_len, hop))
+        assert frames.shape == (1 + (n - frame_len) // hop, frame_len)
+
+    @pytest.mark.parametrize("hop", [0, -1, -3])
+    def test_hop_below_one_is_rejected(self, hop):
+        with pytest.raises(ParameterError, match="hop"):
+            frame_signal(np.zeros(1000), 64, hop)
+        with pytest.raises(ParameterError, match="hop"):
+            power_frames(Signal(np.zeros(1000), FS), 64, hop)
+
+    @pytest.mark.parametrize("frame_len", [256, 250])
+    def test_spectra_equal_the_index_built_reference(self, frame_len):
+        x = np.random.default_rng(1).normal(size=5000)
+        hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(frame_len) / frame_len)
+        ref = np.fft.rfft(index_frames(x, frame_len, 100) * hann[None, :], n=256, axis=1)
+        _, power = power_frames(Signal(x, FS), frame_len, 100)
+        assert np.array_equal(power, np.abs(ref) ** 2)
+        if frame_len == 256:
+            assert np.array_equal(stft_complex(Signal(x, FS), 256, 100), ref)
 
 
 # ---------------------------------------------------------------------------
