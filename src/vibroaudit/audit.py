@@ -56,7 +56,6 @@ from .dataset import (
 from .dsp import Spectrogram, mel_filterbank
 from .errors import DegeneracyError, ParameterError
 from .learn import (
-    DEFAULT_L2,
     CvResult,
     loso_cv,
     pca2,
@@ -376,7 +375,6 @@ def covariate_predictability(
     table: FeatureTable,
     covariate: str,
     group_key: str | None = None,
-    l2: float = DEFAULT_L2,
 ) -> CvResult:
     """Rerun the identical pipeline with a nuisance covariate as target.
 
@@ -396,7 +394,7 @@ def covariate_predictability(
         )
     if group_key is None:
         group_key = "subject" if covariate != "subject" else "session_id"
-    cv = loso_cv(table, group_key=group_key, target=covariate, l2=l2)
+    cv = loso_cv(table, group_key=group_key, target=covariate)
     if not cv.per_group_accuracy:
         raise ParameterError(
             f"leave-one-{group_key}-out on target {covariate!r} scored no fold: "

@@ -44,7 +44,7 @@ from .dataset import (
     load_manifest,
 )
 from .dsp import Signal, stft
-from .errors import ParameterError, UsageError, VibroauditError
+from .errors import FormatError, ParameterError, UsageError, VibroauditError
 from .report import (
     AuditReport,
     band_scan_section,
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _first_sample_rate(manifest: Manifest | None) -> float | None:
     """Sample rate of the first session's recording, None without one."""
-    if manifest is None or not manifest.sessions:
+    if manifest is None:
         return None
     return ingest_wav(manifest.wav_file(manifest.sessions[0])).sample_rate
 
@@ -171,12 +171,20 @@ def _load_feature_config(path: str | None, sample_rate: float | None) -> Feature
     out of the box; 3/4 leaves filter transition and mel headroom.
     """
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return FeatureConfig.from_json_dict(json.load(fh))
+        return FeatureConfig.from_json_dict(_read_json(path, "--config"))
     hi = 10_000.0
     if sample_rate is not None:
         hi = min(hi, 0.75 * (sample_rate / 2.0))
     return FeatureConfig(band_lo=250.0, band_hi=hi)
+
+
+def _read_json(path: str, option: str):
+    """The JSON value in the file an option names; FormatError if it does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, overlong integers
+            raise FormatError(f"{option} {path}: not valid JSON ({exc})") from None
 
 
 def _parse_bands(text: str) -> list[tuple[float, float]]:
@@ -296,15 +304,6 @@ def _check_spectrogram_ids(manifest: Manifest) -> None:
             )
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-
-
 def _auto_day_relabel(table: FeatureTable) -> dict | None:
     """Sessions-as-subjects relabel for single-subject multi-session data.
 
@@ -325,8 +324,7 @@ def _auto_day_relabel(table: FeatureTable) -> dict | None:
 
 
 def _load_relabel(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "--relabel")
     if not isinstance(raw, dict):
         raise ParameterError("relabel file must be a JSON object")
     relabel = {}
@@ -366,10 +364,6 @@ def cmd_audit(args) -> int:
         table = extract_table(manifest, cfg)
     if manifest is None and table is None:
         raise ParameterError("audit needs --manifest or --features")
-    if needs_table and table is None and not suite:
-        raise ParameterError(
-            f"analysis {args.analysis!r} needs --features or --manifest"
-        )
     if args.analysis in ("band-scan", "tones") and manifest is None:
         raise ParameterError(f"analysis {args.analysis!r} needs --manifest")
 
@@ -407,9 +401,9 @@ def cmd_audit(args) -> int:
         if not (suite or args.analysis == analysis):
             return
         try:
-            with _Timer() as t:
-                section = fn()
-            section["timing_s"] = t.seconds
+            t0 = time.perf_counter()
+            section = fn()
+            section["timing_s"] = time.perf_counter() - t0
             report.add_section(name, section)
         except UsageError:
             # an incoherent command line aborts even the suite
@@ -456,8 +450,6 @@ def cmd_audit(args) -> int:
 
     # --- covariate predictability
     def do_covariate() -> dict:
-        if table is None:
-            raise ParameterError("covariate predictability needs a feature table")
         wanted = ("device", "side") if suite else (args.covariate,)
         results, not_evaluated = {}, {}
         for cov in wanted:
@@ -477,8 +469,6 @@ def cmd_audit(args) -> int:
 
     # --- conditioning
     def do_condition() -> dict:
-        if table is None:
-            raise ParameterError("conditioning needs a feature table")
         res = condition_on_covariate(
             table,
             args.covariate,
@@ -493,8 +483,6 @@ def cmd_audit(args) -> int:
 
     # --- incremental mixing
     def do_mixing() -> dict:
-        if table is None:
-            raise ParameterError("mixing needs a feature table")
         values = sorted(set(table.label(args.covariate).tolist()))
         if len(values) != 2:
             raise ParameterError(
@@ -515,8 +503,6 @@ def cmd_audit(args) -> int:
 
     # --- rotation
     def do_rotate() -> dict:
-        if table is None:
-            raise ParameterError("rotation needs a feature table")
         if feature_pair is None or len(feature_pair) != 2:
             raise ParameterError(
                 "rotation needs --feature-pair with exactly 2 names"
@@ -540,8 +526,6 @@ def cmd_audit(args) -> int:
 
     # --- counterfactual relabeling
     def do_counterfactual() -> dict:
-        if table is None:
-            raise ParameterError("counterfactual relabeling needs a feature table")
         spec = relabel if relabel is not None else _auto_day_relabel(table)
         if spec is None:
             raise ParameterError(

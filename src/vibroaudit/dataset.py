@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,11 @@ AGGREGATORS = ("mean", "std")
 
 # identifier columns of the feature CSV, in order, before the features
 LABEL_COLUMNS = ("session_id", "repetition_index", "subject", "health", "side", "device")
+# the SessionRecord field behind each string label column; repetition_index
+# is the segment's position in its session
+LABEL_FIELDS = {"session_id": "session_id", "subject": "subject_id", "health": "health_label",
+                "side": "side", "device": "device_id"}
+_REP_COLUMN = LABEL_COLUMNS.index("repetition_index")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +141,8 @@ def load_manifest(path) -> Manifest:
 
     Schema: {"sessions": [{session_id, subject_id, side, device_id,
     health_label, wav_path, n_repetitions, repetition_boundaries?,
-    metadata?}, ...]}.  wav_path is resolved relative to the manifest's
-    directory and must exist.
+    metadata?}, ...]} with at least one session.  wav_path is resolved
+    relative to the manifest's directory and must exist.
     """
     path = Path(path)
     try:
@@ -149,6 +155,8 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("sessions"), list):
         raise ManifestError(f"{path}: top level must be an object with a 'sessions' list")
+    if not payload["sessions"]:
+        raise ManifestError(f"{path}: the 'sessions' list is empty")
     sessions = [
         _session_from_json(obj, f"{path} sessions[{i}]")
         for i, obj in enumerate(payload["sessions"])
@@ -172,22 +180,9 @@ def load_manifest(path) -> Manifest:
 
 def save_manifest(manifest: Manifest, path) -> None:
     """Write a manifest back to JSON (sorted keys, stable bytes)."""
-    sessions = []
-    for rec in manifest.sessions:
-        obj = {
-            "session_id": rec.session_id,
-            "subject_id": rec.subject_id,
-            "side": rec.side,
-            "device_id": rec.device_id,
-            "health_label": rec.health_label,
-            "wav_path": rec.wav_path,
-            "n_repetitions": rec.n_repetitions,
-        }
-        if rec.repetition_boundaries is not None:
-            obj["repetition_boundaries"] = rec.repetition_boundaries
-        if rec.metadata:
-            obj["metadata"] = rec.metadata
-        sessions.append(obj)
+    # optional fields are written only when set
+    sessions = [{k: v for k, v in asdict(rec).items() if v is not None and v != {}}
+                for rec in manifest.sessions]
     text = json.dumps({"sessions": sessions}, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -389,23 +384,50 @@ class FeatureConfig:
         }
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "FeatureConfig":
-        kwargs = dict(obj)
-        mfcc_obj = kwargs.pop("mfcc", None)
-        if mfcc_obj is not None:
-            kwargs["mfcc"] = MfccConfig(**mfcc_obj)
+    def from_json_dict(obj) -> "FeatureConfig":
+        """Inverse of :meth:`to_json_dict`; every key but the band edges
+        (and, inside ``mfcc``, fmin and fmax) may be left out."""
+        kwargs = _config_kwargs(FeatureConfig, obj, "feature config")
+        if kwargs.get("mfcc") is not None:
+            kwargs["mfcc"] = MfccConfig(**_config_kwargs(MfccConfig, kwargs["mfcc"], "feature config mfcc"))
         for key in ("aggregators", "extra_features"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return FeatureConfig(**kwargs)
 
 
+# JSON form of each config field type: (description, check)
+_JSON_TYPES = {
+    # the comparison also rejects nan, infinities and ints beyond float range
+    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "int": ("an integer", lambda v: type(v) is int),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    "MfccConfig | None": ("an object or null", lambda v: v is None or type(v) is dict),
+}
+
+
+def _config_kwargs(cls, obj, where: str) -> dict:
+    """Keyword arguments of config dataclass ``cls`` from a parsed JSON value, checked
+    for shape, keys and JSON types (FormatError); ``cls`` checks value ranges."""
+    if type(obj) is not dict:
+        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in obj.items():
+        if key not in types:
+            raise FormatError(f"{where}: unknown key {key!r}; known keys are {sorted(types)}")
+        what, ok = _JSON_TYPES[types[key]]
+        if not ok(value):
+            raise FormatError(f"{where}: {key!r} must be {what}, got {value!r}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise FormatError(f"{where}: missing required key {missing[0]!r}")
+    return dict(obj)
+
+
 @dataclass
 class FeatureVector:
     values: dict[str, float]
-    session_id: str
-    repetition_index: int
-    labels: dict[str, str]
 
     def __post_init__(self) -> None:
         for name, val in self.values.items():
@@ -491,13 +513,7 @@ def _aggregate(series: dict[str, np.ndarray], aggregators: tuple[str, ...], suff
     return out
 
 
-def extract_features(
-    segment: Signal,
-    cfg: FeatureConfig,
-    *,
-    session: SessionRecord | None = None,
-    repetition_index: int = 0,
-) -> FeatureVector:
+def extract_features(segment: Signal, cfg: FeatureConfig) -> FeatureVector:
     """The feature map g: one repetition segment -> named features.
 
     Deterministic: identical (segment, cfg) give an identical vector.
@@ -516,19 +532,7 @@ def extract_features(
     for suffix, chan in channels:
         series = _frame_feature_block(chan.samples, chan.sample_rate, cfg)
         values.update(_aggregate(series, cfg.aggregators, suffix))
-    if session is not None:
-        return FeatureVector(
-            values=values,
-            session_id=session.session_id,
-            repetition_index=repetition_index,
-            labels={
-                "health": session.health_label,
-                "subject": session.subject_id,
-                "side": session.side,
-                "device": session.device_id,
-            },
-        )
-    return FeatureVector(values=values, session_id="", repetition_index=repetition_index, labels={})
+    return FeatureVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +580,6 @@ class FeatureTable:
             repetition_index=self.repetition_index[mask],
         )
 
-    def column(self, feature_name: str) -> np.ndarray:
-        try:
-            j = self.feature_names.index(feature_name)
-        except ValueError:
-            raise ParameterError(
-                f"unknown feature {feature_name!r}; have {self.feature_names}"
-            ) from None
-        return self.matrix[:, j]
-
     def restrict_features(self, names: list[str]) -> "FeatureTable":
         cols = [self.feature_names.index(n) if n in self.feature_names else -1 for n in names]
         for n, c in zip(names, cols):
@@ -597,35 +592,6 @@ class FeatureTable:
             repetition_index=self.repetition_index,
         )
 
-    @staticmethod
-    def from_vectors(vectors: list[FeatureVector]) -> "FeatureTable":
-        if not vectors:
-            raise ParameterError("cannot build a feature table from zero vectors")
-        names = list(vectors[0].values.keys())
-        name_set = set(names)
-        rows = []
-        labels: dict[str, list[str]] = {"session_id": [], "subject": [], "health": [], "side": [], "device": []}
-        reps = []
-        for vec in vectors:
-            if set(vec.values.keys()) != name_set:
-                raise ParameterError(
-                    f"feature name mismatch in session {vec.session_id}: "
-                    f"{sorted(set(vec.values) ^ name_set)}"
-                )
-            rows.append([vec.values[n] for n in names])
-            labels["session_id"].append(vec.session_id)
-            labels["subject"].append(vec.labels.get("subject", ""))
-            labels["health"].append(vec.labels.get("health", ""))
-            labels["side"].append(vec.labels.get("side", ""))
-            labels["device"].append(vec.labels.get("device", ""))
-            reps.append(vec.repetition_index)
-        return FeatureTable(
-            feature_names=names,
-            matrix=np.array(rows, dtype=np.float64),
-            labels={k: np.array(v, dtype=object) for k, v in labels.items()},
-            repetition_index=np.array(reps, dtype=np.int64),
-        )
-
     def to_csv(self, path) -> None:
         """Header = identifier columns then feature names; floats use
         repr so a read back is value-exact.  Fields holding a comma, quote
@@ -633,17 +599,10 @@ class FeatureTable:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(LABEL_COLUMNS) + self.feature_names)
+            idents = [self.repetition_index.astype(np.int64) if c == "repetition_index" else self.labels[c]
+                      for c in LABEL_COLUMNS]
             for i in range(self.n_rows):
-                ident = [
-                    str(self.labels["session_id"][i]),
-                    str(int(self.repetition_index[i])),
-                    str(self.labels["subject"][i]),
-                    str(self.labels["health"][i]),
-                    str(self.labels["side"][i]),
-                    str(self.labels["device"][i]),
-                ]
-                feats = [repr(float(v)) for v in self.matrix[i]]
-                writer.writerow(ident + feats)
+                writer.writerow([str(col[i]) for col in idents] + [repr(float(v)) for v in self.matrix[i]])
 
     @staticmethod
     def from_csv(path) -> "FeatureTable":
@@ -664,20 +623,15 @@ class FeatureTable:
                 f"{path}: feature CSV must start with columns {LABEL_COLUMNS}"
             )
         names = header[len(LABEL_COLUMNS) :]
-        labels: dict[str, list[str]] = {"session_id": [], "subject": [], "health": [], "side": [], "device": []}
+        body = records[1:]
         reps = []
         rows = []
-        for row, parts in enumerate(records[1:], start=1):
+        for row, parts in enumerate(body, start=1):
             if len(parts) != len(header):
                 raise FormatError(f"{path}: row with {len(parts)} fields, expected {len(header)}")
-            labels["session_id"].append(parts[0])
-            labels["subject"].append(parts[2])
-            labels["health"].append(parts[3])
-            labels["side"].append(parts[4])
-            labels["device"].append(parts[5])
             try:
-                reps.append(int(parts[1]))
-                rows.append([float(v) for v in parts[6:]])
+                reps.append(int(parts[_REP_COLUMN]))
+                rows.append([float(v) for v in parts[len(LABEL_COLUMNS) :]])
             except ValueError:
                 raise _bad_number(path, row, header, parts) from None
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
@@ -691,35 +645,61 @@ class FeatureTable:
         return FeatureTable(
             feature_names=names,
             matrix=matrix,
-            labels={k: np.array(v, dtype=object) for k, v in labels.items()},
+            labels={
+                col: np.array([parts[LABEL_COLUMNS.index(col)] for parts in body], dtype=object)
+                for col in LABEL_FIELDS
+            },
             repetition_index=np.array(reps, dtype=np.int64),
         )
 
 
 def _bad_number(path, row: int, header: list[str], parts: list[str]) -> FormatError:
     """The error naming the first field of a feature CSV row that does not parse."""
-    for j in [1] + list(range(len(LABEL_COLUMNS), len(parts))):
-        kind = int if j == 1 else float
+    for j in [_REP_COLUMN] + list(range(len(LABEL_COLUMNS), len(parts))):
+        kind = int if j == _REP_COLUMN else float
         try:
             kind(parts[j])
         except ValueError:
             return FormatError(
                 f"{path}: data row {row}, column {header[j]!r}: "
-                f"{parts[j]!r} is not {'an integer' if j == 1 else 'a number'}"
+                f"{parts[j]!r} is not {'an integer' if j == _REP_COLUMN else 'a number'}"
             )
     raise AssertionError("no unparsable field in the row")
 
 
 def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[FeatureTable]:
-    """One feature table per config, reading and segmenting each session once."""
+    """One feature table per config, reading and segmenting each session once.
 
-    def one_session(rec: SessionRecord) -> list[list[FeatureVector]]:
+    A row is one repetition: its features are g of the segment, its label
+    columns the session record's fields (LABEL_FIELDS) and its
+    repetition_index the segment's position in the session.
+    """
+    if not manifest.sessions:
+        raise ParameterError("cannot build a feature table from zero sessions")
+    if not cfgs:
+        return []
+
+    def one_session(rec: SessionRecord) -> list[list[dict[str, float]]]:
         segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
-        return [[extract_features(seg, cfg, session=rec, repetition_index=k)
-                 for k, seg in enumerate(segments)] for cfg in cfgs]
-    per_session = pmap(one_session, manifest.sessions) if cfgs else []
-    return [FeatureTable.from_vectors([vec for vecs in per_session for vec in vecs[c]])
-            for c in range(len(cfgs))]
+        return [[extract_features(seg, cfg).values for seg in segments] for cfg in cfgs]
+
+    per_session = pmap(one_session, manifest.sessions)
+    n_reps = [len(values[0]) for values in per_session]
+    labels = {
+        col: np.repeat(np.array([getattr(rec, f) for rec in manifest.sessions], dtype=object), n_reps)
+        for col, f in LABEL_FIELDS.items()
+    }
+    reps = np.concatenate([np.arange(n, dtype=np.int64) for n in n_reps])
+    tables = []
+    for c in range(len(cfgs)):
+        names = list(per_session[0][c][0])
+        for rec, values in zip(manifest.sessions, per_session):
+            if list(values[c][0]) != names:  # a session's segments share its channel layout
+                raise ParameterError(f"feature name mismatch in session {rec.session_id}: "
+                                     f"{sorted(set(values[c][0]) ^ set(names))}")
+        matrix = np.array([list(v.values()) for values in per_session for v in values[c]], dtype=np.float64)
+        tables.append(FeatureTable(names, matrix, dict(labels), reps))
+    return tables
 
 
 def extract_table(manifest: Manifest, cfg: FeatureConfig) -> FeatureTable:

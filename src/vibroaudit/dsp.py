@@ -8,7 +8,7 @@ times are seconds, signals are float64 arrays normalized to [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -367,36 +367,12 @@ def power_frames(signal: Signal, frame_len: int, hop: int, n_fft: int | None = N
 
 
 def mfcc_from_power(power: np.ndarray, fbank: np.ndarray, n_coeffs: int, log_floor: float) -> np.ndarray:
-    """Mel energies -> floored natural log -> orthonormal DCT-II, truncated."""
+    """Mel energies -> floored natural log -> orthonormal DCT-II, truncated.
+
+    On digital silence every row is the DCT of the constant log-floor
+    vector: coefficient 0 is sqrt(n_mels) * log(log_floor), the rest 0.
+    """
     energies = power @ fbank.T
     logs = np.log(np.maximum(energies, log_floor))
     return logs @ dct2_matrix(fbank.shape[0])[:n_coeffs].T
 
-
-def mfcc(signal: Signal, cfg: MfccConfig) -> np.ndarray:
-    """Mel-frequency cepstral coefficients, shape (n_frames, n_coeffs).
-
-    Pipeline per frame: Hann window, power spectrum, triangular mel
-    filterbank between cfg.fmin and cfg.fmax, natural log floored at
-    cfg.log_floor, orthonormal DCT-II, first n_coeffs kept.  On digital
-    silence every coefficient vector equals the DCT of the constant
-    log-floor vector: coefficient 0 is sqrt(n_mels) * log(log_floor) and
-    the rest are 0.
-    """
-    if signal.channels != 1:
-        raise ParameterError("mfcc expects a mono signal; use Signal.channel() first")
-    if cfg.fmax > signal.sample_rate / 2.0:
-        raise ParameterError(
-            f"cfg.fmax={cfg.fmax} exceeds Nyquist {signal.sample_rate / 2.0}"
-        )
-    frame_len = cfg.frame_len(signal.sample_rate)
-    hop = cfg.hop(signal.sample_rate)
-    if signal.n_samples < frame_len:
-        raise ParameterError(
-            f"signal duration {signal.duration:.6f}s is shorter than one "
-            f"frame ({frame_len / signal.sample_rate:.6f}s)"
-        )
-    _, power = power_frames(signal, frame_len, hop)
-    n_fft = (power.shape[1] - 1) * 2
-    fbank = mel_filterbank(cfg.n_mels, n_fft, signal.sample_rate, cfg.fmin, cfg.fmax)
-    return mfcc_from_power(power, fbank, cfg.n_coeffs, cfg.log_floor)

@@ -29,6 +29,8 @@ from .errors import ParameterError
 DEFAULT_L2 = 1e-3
 DEFAULT_MAX_ITER = 5000
 DEFAULT_TOL = 1e-8
+# a score above this predicts the positive class; a tie predicts the negative
+DECISION_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +43,8 @@ class LinearModel:
 
     classes = (negative, positive) in sorted order; the score is
     p(positive | x).  Features with zero variance in the training fold
-    are dropped and listed in dropped_features.  threshold is fixed at
-    0.5 with the documented tie-break: a score of exactly 0.5 predicts
-    the negative class.
+    are dropped and listed in dropped_features.  Predictions threshold
+    the score at DECISION_THRESHOLD.
     """
 
     feature_names: list[str]
@@ -54,7 +55,6 @@ class LinearModel:
     dropped_features: list[str] = field(default_factory=list)
     converged: bool = True
     n_iter: int = 0
-    threshold: float = 0.5
 
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[n] for n in self.feature_names])
@@ -276,8 +276,7 @@ def _score_matrix(model: LinearModel, X: np.ndarray, feature_names: list[str]) -
 
 
 def _labels_from_scores(model: LinearModel, scores: np.ndarray) -> np.ndarray:
-    # tie-break: exactly threshold -> negative class
-    return np.where(scores > model.threshold, model.classes[1], model.classes[0]).astype(object)
+    return np.where(scores > DECISION_THRESHOLD, model.classes[1], model.classes[0]).astype(object)
 
 
 def predict(model: LinearModel, feature_vector) -> tuple[str, float]:
@@ -293,9 +292,8 @@ def predict(model: LinearModel, feature_vector) -> tuple[str, float]:
         if name not in values:
             raise ParameterError(f"missing feature {name!r} required by the model")
     X = np.array([[float(values[n]) for n in model.feature_names]])
-    score = float(_score_matrix(model, X, list(model.feature_names))[0])
-    label = model.classes[1] if score > model.threshold else model.classes[0]
-    return label, score
+    scores = _score_matrix(model, X, list(model.feature_names))
+    return _labels_from_scores(model, scores)[0], float(scores[0])
 
 
 # ---------------------------------------------------------------------------

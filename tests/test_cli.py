@@ -301,6 +301,56 @@ class TestErrorPaths:
         assert rc == EXIT_ERROR
         assert "device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"band_lo": 250.0,', "--config"),
+            ("[250.0, 6000.0]", "must be a JSON object"),
+            ('{"band_lo": 250.0, "band_hi": 6000.0, "bandhi": 1}', "unknown key 'bandhi'"),
+            ('{"band_lo": 250.0, "band_hi": 6000.0, "mfcc": {"fmin": 1, "fmax": 2, "x": 0}}',
+             "unknown key 'x'"),
+            ('{"band_lo": "x", "band_hi": 6000.0}', "'band_lo' must be a finite number"),
+            ('{"band_lo": 250.0, "band_hi": 6000.0, "taps": 513.0}', "'taps' must be an integer"),
+            ('{"band_lo": 250.0, "band_hi": 6000.0, "mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 26.0}}',
+             "'n_mels' must be an integer"),
+        ],
+    )
+    def test_malformed_config_file_exits_one(self, tone_dataset, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = run(
+            "features", "--manifest", str(tone_dataset / "manifest.json"),
+            "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ['{"day0": ["g0", "Healthy"]', b"\xff\xfe{}"])
+    def test_relabel_file_that_is_not_json_exits_one(self, tmp_path, capsys, text):
+        csv_path = tmp_path / "day.csv"
+        day_level_table().to_csv(csv_path)
+        spec_path = tmp_path / "relabel.json"
+        if isinstance(text, bytes):
+            spec_path.write_bytes(text)
+        else:
+            spec_path.write_text(text)
+        rc = run(
+            "audit", "counterfactual", "--features", str(csv_path),
+            "--relabel", str(spec_path), "--out", str(tmp_path / "cf"),
+        )
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: --relabel {spec_path}: not valid JSON")
+
+    def test_empty_manifest_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"sessions": []}')
+        rc = run("audit", "tones", "--manifest", str(manifest), "--out", str(tmp_path / "out"))
+        assert rc == EXIT_ERROR
+        assert "'sessions' list is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_non_numeric_feature_csv_field_exits_one(self, tmp_path, capsys):
         csv_path = tmp_path / "features.csv"
         device_shortcut_table().to_csv(csv_path)

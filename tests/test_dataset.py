@@ -1,6 +1,7 @@
 """Tests for ingestion, segmentation, and the feature map."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -13,8 +14,10 @@ from vibroaudit.dataset import (
     FeatureTable,
     Manifest,
     SessionRecord,
+    LABEL_FIELDS,
     extract_features,
     extract_table,
+    extract_tables,
     ingest_wav,
     load_manifest,
     minimum_segment_samples,
@@ -76,10 +79,10 @@ class TestManifest:
         man = load_manifest(tmp_path / "manifest.json")
         assert man.class_counts() == {"Healthy": 18, "Unhealthy": 25}
 
-    def test_empty_is_valid(self, tmp_path):
+    def test_empty_is_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload([])))
-        man = load_manifest(tmp_path / "manifest.json")
-        assert man.sessions == []
+        with pytest.raises(ManifestError, match="'sessions' list is empty"):
+            load_manifest(tmp_path / "manifest.json")
 
     def test_duplicate_id_named(self, tmp_path):
         small_wav(tmp_path / "s000.wav")
@@ -434,6 +437,37 @@ class TestExtractFeatures:
         again = FeatureConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([250.0, 6000.0], "must be a JSON object, got list"),
+            ({"band_lo": 250.0}, "missing required key 'band_hi'"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "bandlo": 1.0}, "unknown key 'bandlo'"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "mfcc": {"fmin": 250.0, "fmax": 6000.0, "nmels": 26}},
+             "mfcc: unknown key 'nmels'"),
+            ({"band_lo": "x", "band_hi": 6000.0}, "'band_lo' must be a finite number, got 'x'"),
+            ({"band_lo": float("nan"), "band_hi": 6000.0}, "'band_lo' must be a finite number"),
+            ({"band_lo": 10**400, "band_hi": 6000.0}, "'band_lo' must be a finite number"),
+            ({"band_lo": True, "band_hi": 6000.0}, "'band_lo' must be a finite number"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "taps": 513.0}, "'taps' must be an integer"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 26.0}},
+             "mfcc: 'n_mels' must be an integer"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "mfcc": {"fmax": 6000.0}}, "mfcc: missing required key 'fmin'"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "mfcc": []}, "'mfcc' must be an object or null"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "aggregators": "mean"}, "'aggregators' must be a list of strings"),
+            ({"band_lo": 250.0, "band_hi": 6000.0, "channel_mode": 1}, "'channel_mode' must be a string"),
+        ],
+    )
+    def test_config_json_shape_errors(self, obj, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            FeatureConfig.from_json_dict(obj)
+
+    def test_config_json_keeps_given_values(self):
+        # integers stay integers, so the report echoes the file as written
+        cfg = FeatureConfig.from_json_dict({"band_lo": 250, "band_hi": 6000, "mfcc": None})
+        assert cfg.to_json_dict()["band_lo"] == 250 and type(cfg.band_lo) is int
+        assert cfg.mfcc.fmax == 6000
+
 
 # ---------------------------------------------------------------------------
 # feature table
@@ -497,13 +531,52 @@ class TestFeatureTable:
         with pytest.raises(ParameterError):
             table.restrict_features(["nope"])
 
-    def test_vector_name_mismatch(self):
-        from vibroaudit.dataset import FeatureVector
+    def test_rows_are_the_feature_map_of_each_segment(self, tmp_path):
+        manifest, cfg, table = toy_table(tmp_path)
+        row = 0
+        for rec in manifest.sessions:
+            segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
+            for k, seg in enumerate(segments):
+                values = extract_features(seg, cfg).values
+                assert list(values) == table.feature_names
+                np.testing.assert_array_equal(table.matrix[row], list(values.values()))
+                assert table.repetition_index[row] == k
+                for col, field in LABEL_FIELDS.items():
+                    assert table.labels[col][row] == getattr(rec, field)
+                row += 1
+        assert row == table.n_rows
 
-        a = FeatureVector({"x": 1.0}, "s0", 0, {})
-        b = FeatureVector({"y": 1.0}, "s1", 0, {})
-        with pytest.raises(ParameterError, match="mismatch"):
-            FeatureTable.from_vectors([a, b])
+    def test_extract_tables_matches_extract_table_per_config(self, tmp_path):
+        manifest, cfg, table = toy_table(tmp_path)
+        narrow = FeatureConfig(band_lo=1_000.0, band_hi=3_000.0, aggregators=("mean",))
+        both = extract_tables(manifest, [cfg, narrow])
+        for got, want in zip(both, [table, extract_table(manifest, narrow)]):
+            assert got.feature_names == want.feature_names
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+            np.testing.assert_array_equal(got.repetition_index, want.repetition_index)
+            for col in LABEL_FIELDS:
+                np.testing.assert_array_equal(got.labels[col], want.labels[col])
+        assert extract_tables(manifest, []) == []
+
+    def test_mono_and_stereo_sessions_name_the_session(self, tmp_path):
+        fs = 16_000.0
+        rng = np.random.default_rng(1)
+        write_wav(tmp_path / "mono.wav", Signal(0.1 * rng.normal(size=int(fs)), fs))
+        write_wav(tmp_path / "stereo.wav", Signal(0.1 * rng.normal(size=(int(fs), 2)), fs))
+        sessions = [
+            session_obj(0, wav_path="mono.wav", session_id="mono"),
+            session_obj(1, wav_path="stereo.wav", session_id="stereo", health="Unhealthy"),
+        ]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        cfg = FeatureConfig(band_lo=200.0, band_hi=6_000.0)
+        with pytest.raises(ParameterError, match="feature name mismatch in session stereo"):
+            extract_tables(manifest, [cfg])
+
+    def test_empty_manifest_is_a_parameter_error(self, tmp_path):
+        cfg = FeatureConfig(band_lo=200.0, band_hi=6_000.0)
+        with pytest.raises(ParameterError, match="zero sessions"):
+            extract_table(Manifest(sessions=[], root=tmp_path), cfg)
 
     def test_csv_is_plain_comma_separated(self, tmp_path):
         table = FeatureTable(
@@ -647,3 +720,21 @@ class TestFuzz:
             load_manifest(path)
         except ManifestError:
             pass
+
+    @given(obj=json_values | st.dictionaries(
+        st.sampled_from(["band_lo", "band_hi", "mfcc", "aggregators", "extra_features", "taps",
+                         "channel_mode", "bogus"]),
+        json_values | st.dictionaries(
+            st.sampled_from(["fmin", "fmax", "frame_ms", "hop_fraction", "n_mels", "n_coeffs",
+                             "log_floor", "bogus"]),
+            json_values, max_size=4,
+        ),
+        max_size=5,
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_feature_config_of_any_json_value(self, obj):
+        try:
+            cfg = FeatureConfig.from_json_dict(obj)
+        except VibroauditError:
+            return
+        assert FeatureConfig.from_json_dict(cfg.to_json_dict()) == cfg

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vibroaudit.dataset import FeatureConfig, extract_features
 from vibroaudit.dsp import (
     MfccConfig,
     Signal,
@@ -24,7 +25,6 @@ from vibroaudit.dsp import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
-    mfcc,
     mfcc_from_power,
     power_frames,
     spectral_frame_energy,
@@ -355,19 +355,29 @@ class TestDct2:
 
 
 class TestMfcc:
+    """The cepstrum stage of the feature map g, through mfcc_from_power and extract_features."""
+
+    FS = 16_000.0
+
     def cfg(self, fmin=100.0, fmax=8_000.0):
-        return MfccConfig(fmin=fmin, fmax=fmax)
+        return FeatureConfig(band_lo=fmin, band_hi=fmax)
 
     def test_silence(self):
-        fs = 16_000.0
-        s = Signal(np.zeros(int(fs)), fs)
-        coeffs = mfcc(s, self.cfg())
-        assert coeffs.shape[1] == 13
-        # every frame identical
-        np.testing.assert_array_equal(coeffs, np.tile(coeffs[0], (coeffs.shape[0], 1)))
+        # every frame's mel energies sit below the log floor
+        fbank = mel_filterbank(26, 512, self.FS, 100.0, 8_000.0)
+        coeffs = mfcc_from_power(np.zeros((40, 257)), fbank, 13, 1e-10)
+        assert coeffs.shape == (40, 13)
+        np.testing.assert_array_equal(coeffs, np.tile(coeffs[0], (40, 1)))
         expected_c0 = math.sqrt(26) * math.log(1e-10)
         assert coeffs[0, 0] == pytest.approx(expected_c0, rel=1e-12)
         np.testing.assert_allclose(coeffs[0, 1:], 0.0, atol=1e-9)
+        # the feature map reads the same cepstrum off digital silence
+        vec = extract_features(Signal(np.zeros(int(self.FS)), self.FS), self.cfg())
+        assert vec.values["mfcc00_mean"] == pytest.approx(expected_c0, rel=1e-12)
+        for j in range(13):
+            assert abs(vec.values[f"mfcc{j:02d}_std"]) < 1e-9
+            if j:
+                assert abs(vec.values[f"mfcc{j:02d}_mean"]) < 1e-9
 
     def test_single_frame_against_dct_oracle(self):
         fs = 16_000.0
@@ -381,29 +391,30 @@ class TestMfcc:
         np.testing.assert_allclose(got[0], expected, atol=1e-9)
 
     def test_two_identical_chunks_give_identical_frames(self):
-        fs = 16_000.0
-        cfg = self.cfg()
-        frame_len = cfg.frame_len(fs)
+        mc = MfccConfig(fmin=100.0, fmax=8_000.0)
+        frame_len = mc.frame_len(self.FS)
         rng = np.random.default_rng(2)
         chunk = rng.normal(size=frame_len) * 0.1
-        s = Signal(np.concatenate([chunk, chunk]), fs)
-        coeffs = mfcc(s, cfg)
+        _, power = power_frames(Signal(np.concatenate([chunk, chunk]), self.FS), frame_len, mc.hop(self.FS))
+        fbank = mel_filterbank(mc.n_mels, (power.shape[1] - 1) * 2, self.FS, mc.fmin, mc.fmax)
+        coeffs = mfcc_from_power(power, fbank, mc.n_coeffs, mc.log_floor)
         # hop_fraction 0.5: frames 0 and 2 both see one full chunk
+        assert coeffs.shape[0] == 3
         np.testing.assert_array_equal(coeffs[0], coeffs[2])
 
     def test_deterministic(self):
-        s = sine(1000, dur=0.3, fs=16_000.0)
-        cfg = self.cfg()
-        a = mfcc(s, cfg)
-        b = mfcc(s, cfg)
-        np.testing.assert_array_equal(a, b)
+        s = sine(1000, dur=0.3, fs=self.FS)
+        a = extract_features(s, self.cfg())
+        b = extract_features(s, self.cfg())
+        assert a.values == b.values
 
     def test_errors(self):
-        fs = 16_000.0
-        with pytest.raises(ParameterError):
-            mfcc(sine(1000, dur=1.0, fs=fs), MfccConfig(fmin=100.0, fmax=9_000.0))
-        with pytest.raises(ParameterError):
-            mfcc(Signal(np.zeros(10), fs), self.cfg())
+        s = sine(1000, dur=1.0, fs=self.FS)
+        with pytest.raises(ParameterError, match="fmax=9000.0 exceeds Nyquist 8000.0"):
+            extract_features(s, FeatureConfig(
+                band_lo=100.0, band_hi=7_000.0, mfcc=MfccConfig(fmin=100.0, fmax=9_000.0)))
+        with pytest.raises(ParameterError, match="too short"):
+            extract_features(Signal(np.zeros(10), self.FS), self.cfg())
         with pytest.raises(ParameterError):
             MfccConfig(fmin=100.0, fmax=8_000.0, n_coeffs=30)
         with pytest.raises(ParameterError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vibroaudit import _parallel
-from vibroaudit.dataset import FeatureTable
+from vibroaudit.dataset import FeatureTable, FeatureVector
 from vibroaudit.errors import ParameterError
 from vibroaudit.learn import (
     LinearModel,
@@ -107,6 +107,7 @@ class TestPredict:
         label, score = predict(self.zero_model(), {"f00": 1.23})
         assert score == 0.5
         assert label == "Healthy"
+        assert predict(self.zero_model(), FeatureVector({"f00": 1.23})) == (label, score)
 
     def test_deep_positive_half_space(self):
         rng = np.random.default_rng(3)
