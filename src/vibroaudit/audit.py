@@ -41,7 +41,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import pmap
 from ._rng import stream, substream_id
@@ -51,7 +51,8 @@ from .dataset import (
     Manifest,
     extract_table,  # noqa: F401  unused here; perfbench/spans.py patches audit.extract_table
     extract_tables,
-    ingest_wav,
+    ingest_wav,  # noqa: F401  unused here; perfbench/spans.py patches audit.ingest_wav
+    wav_sample_rate,
 )
 from .dsp import Spectrogram, mel_filterbank
 from .errors import DegeneracyError, ParameterError
@@ -124,8 +125,8 @@ def band_scan(
     """
     if len({rec.subject_id for rec in manifest.sessions}) < 2:
         raise ParameterError("band scan needs >= 2 subjects")
-    probe = ingest_wav(manifest.wav_file(manifest.sessions[0]))
-    _validate_bands(bands, probe.sample_rate / 2.0)
+    fs = wav_sample_rate(manifest.wav_file(manifest.sessions[0]))
+    _validate_bands(bands, fs / 2.0)
 
     accs = np.full(len(bands), np.nan)
     skipped: dict[int, str] = {}
@@ -135,9 +136,9 @@ def band_scan(
             cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)
         )
         m = band_cfg.mfcc
-        frame_len = m.frame_len(probe.sample_rate)
+        frame_len = m.frame_len(fs)
         n_fft = 1 << (frame_len - 1).bit_length()
-        fbank = mel_filterbank(m.n_mels, n_fft, probe.sample_rate, lo, hi)
+        fbank = mel_filterbank(m.n_mels, n_fft, fs, lo, hi)
         empty = int(np.sum(fbank.sum(axis=1) == 0))
         if empty:
             skipped[i] = (
@@ -182,6 +183,28 @@ class ToneDetection:
     bin_span: tuple[int, int]
 
 
+# frames per block of the running median: bounds its (frames, bins, window)
+# temporary to a few MB
+_MEDIAN_BLOCK_FRAMES = 16
+
+
+def _running_median(power: np.ndarray, w: int) -> np.ndarray:
+    """Median of each row over a window of ``w`` (odd) bins centred on each bin.
+
+    Rows are extended by their edge value, so this equals
+    ``scipy.ndimage.median_filter(power, size=(1, w), mode="nearest")``
+    exactly: an odd window's median is one of its elements.
+    """
+    half = w // 2
+    padded = np.pad(power, ((0, 0), (half, half)), mode="edge")
+    out = np.empty_like(power)
+    for start in range(0, len(power), _MEDIAN_BLOCK_FRAMES):
+        block = slice(start, start + _MEDIAN_BLOCK_FRAMES)
+        windows = sliding_window_view(padded[block], w, axis=1)
+        out[block] = np.partition(windows, half, axis=-1)[..., half]
+    return out
+
+
 def detect_persistent_tones(
     spec: Spectrogram,
     persistence_min: float = 0.9,
@@ -219,7 +242,7 @@ def detect_persistent_tones(
     power = spec.magnitudes**2
     df = float(spec.bin_freqs[1] - spec.bin_freqs[0])
     w = max(3, int(round(median_window_hz / df)) | 1)
-    local_median = median_filter(power, size=(1, w), mode="nearest")
+    local_median = _running_median(power, w)
     threshold = 10.0 ** (prominence_min_db / 10.0)
     above = power > local_median * threshold
 

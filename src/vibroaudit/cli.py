@@ -42,6 +42,7 @@ from .dataset import (
     extract_table,
     ingest_wav,
     load_manifest,
+    wav_sample_rate,
 )
 from .dsp import Signal, stft
 from .errors import FormatError, ParameterError, UsageError, VibroauditError
@@ -160,7 +161,7 @@ def _first_sample_rate(manifest: Manifest | None) -> float | None:
     """Sample rate of the first session's recording, None without one."""
     if manifest is None:
         return None
-    return ingest_wav(manifest.wav_file(manifest.sessions[0])).sample_rate
+    return wav_sample_rate(manifest.wav_file(manifest.sessions[0]))
 
 
 def _load_feature_config(path: str | None, sample_rate: float | None) -> FeatureConfig:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -21,10 +23,12 @@ from .dsp import (
     DEFAULT_BANDPASS_TAPS,
     MfccConfig,
     Signal,
-    bandpass,
+    band_spectrum,
+    bandpass,  # noqa: F401  unused here; perfbench/spans.py patches dataset.bandpass
     mel_filterbank,
     mfcc_from_power,
     power_frames,
+    zero_delay_filter,
 )
 from .errors import FormatError, ManifestError, ParameterError
 
@@ -191,6 +195,68 @@ def save_manifest(manifest: Manifest, path) -> None:
 # WAV I/O (RIFF little-endian, PCM 16/24/32-bit int and 32-bit float)
 
 
+# (format tag, bits) pairs that ingest_wav decodes: integer PCM and 32-bit float
+_WAV_ENCODINGS = ((1, 16), (1, 24), (1, 32), (3, 32))
+
+
+def _wav_header(fh, path: Path) -> tuple[int, int, float, int, int, int]:
+    """Walk the RIFF chunks of an open WAV file, checking everything that
+    needs no sample values.
+
+    Returns (format tag, channels, sample rate, bits, data offset, data
+    size).  Unknown chunks are skipped by seeking past them.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+    pos = 12
+    fmt = None
+    data = None
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        body_start = pos + 8
+        body_end = body_start + chunk_size
+        if body_end > size:
+            raise FormatError(f"{path}: truncated chunk {chunk_id!r}")
+        if chunk_id == b"fmt ":
+            if chunk_size < 16:
+                raise FormatError(f"{path}: fmt chunk too small")
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
+        elif chunk_id == b"data":
+            data = (body_start, chunk_size)
+        pos = body_end + (chunk_size & 1)
+    if fmt is None or data is None:
+        raise FormatError(f"{path}: missing fmt or data chunk")
+    audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    offset, n_bytes = data
+    if n_channels not in (1, 2):
+        raise FormatError(f"{path}: {n_channels} channels unsupported (need 1 or 2)")
+    if (audio_format, bits) not in _WAV_ENCODINGS:
+        raise FormatError(
+            f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit)"
+        )
+    if n_bytes % (bits // 8):
+        raise FormatError(f"{path}: {bits}-bit payload of {n_bytes} bytes")
+    if n_channels == 2 and (n_bytes // (bits // 8)) % 2:
+        raise FormatError(f"{path}: odd sample count for 2-channel data")
+    if sample_rate == 0:
+        raise FormatError(f"{path}: sample_rate must be > 0, got 0.0")
+    return audio_format, n_channels, float(sample_rate), bits, offset, n_bytes
+
+
+def wav_sample_rate(path) -> float:
+    """Sample rate of a WAV file, read from its header alone.
+
+    Raises the FormatError that :func:`ingest_wav` would for any fault
+    of the file's layout or encoding.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        return _wav_header(fh, path)[2]
+
+
 def ingest_wav(path) -> Signal:
     """Parse a RIFF/WAVE file into a normalized Signal.
 
@@ -199,57 +265,26 @@ def ingest_wav(path) -> Signal:
     skipped; compressed encodings are rejected.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-    pos = 12
-    fmt = None
-    payload = None
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body_start = pos + 8
-        body_end = body_start + chunk_size
-        if body_end > len(data):
-            raise FormatError(f"{path}: truncated chunk {chunk_id!r}")
-        if chunk_id == b"fmt ":
-            if chunk_size < 16:
-                raise FormatError(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", data, body_start)
-        elif chunk_id == b"data":
-            payload = data[body_start:body_end]
-        pos = body_end + (chunk_size & 1)
-    if fmt is None or payload is None:
-        raise FormatError(f"{path}: missing fmt or data chunk")
-    audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if n_channels not in (1, 2):
-        raise FormatError(f"{path}: {n_channels} channels unsupported (need 1 or 2)")
-    if audio_format in (1, 3) and bits in (16, 32) and len(payload) % (bits // 8):
-        raise FormatError(f"{path}: {bits}-bit payload of {len(payload)} bytes")
+    with open(path, "rb") as fh:
+        audio_format, n_channels, sample_rate, bits, offset, n_bytes = _wav_header(fh, path)
+        fh.seek(offset)
+        payload = fh.read(n_bytes)
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 1 and bits == 24:
-        if len(payload) % 3:
-            raise FormatError(f"{path}: 24-bit payload not a multiple of 3 bytes")
         b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
         raw = vals.astype(np.float64) / float(1 << 23)
     elif audio_format == 1 and bits == 32:
         raw = np.frombuffer(payload, dtype="<i4").astype(np.float64) / float(1 << 31)
-    elif audio_format == 3 and bits == 32:
+    else:  # 32-bit float
         raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    else:
-        raise FormatError(
-            f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit)"
-        )
     if n_channels == 2:
-        if len(raw) % 2:
-            raise FormatError(f"{path}: odd sample count for 2-channel data")
         raw = raw.reshape(-1, 2)
     try:
-        return Signal(raw, float(sample_rate))
-    except ParameterError as exc:  # zero sample rate, non-finite samples
+        return Signal(raw, sample_rate)
+    except ParameterError as exc:  # non-finite samples
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -360,6 +395,8 @@ class FeatureConfig:
                 raise ParameterError(f"unknown extra feature {name!r}")
         if self.channel_mode not in ("per-channel", "mixdown"):
             raise ParameterError(f"unknown channel_mode {self.channel_mode!r}")
+        if self.taps < 3 or self.taps % 2 == 0:
+            raise ParameterError(f"taps must be an odd integer >= 3, got {self.taps}")
         if self.mfcc is None:
             self.mfcc = MfccConfig(fmin=self.band_lo, fmax=self.band_hi)
 
@@ -446,20 +483,13 @@ def minimum_segment_samples(cfg: FeatureConfig, sample_rate: float) -> int:
     return trim + cfg.mfcc.frame_len(sample_rate)
 
 
-def _frame_feature_block(x: np.ndarray, fs: float, cfg: FeatureConfig) -> dict[str, np.ndarray]:
-    """Per-frame feature series for one mono channel."""
+def _frame_feature_block(filtered: np.ndarray, fs: float, cfg: FeatureConfig) -> dict[str, np.ndarray]:
+    """Per-frame feature series of one band-passed mono channel."""
     m = (cfg.taps - 1) // 2
-    filtered = bandpass(Signal(x, fs), cfg.band_lo, cfg.band_hi, cfg.taps).samples
     core = filtered[m : len(filtered) - m]
     mc = cfg.mfcc
     frame_len = mc.frame_len(fs)
     hop = mc.hop(fs)
-    if len(core) < frame_len:
-        min_dur = minimum_segment_samples(cfg, fs) / fs
-        raise ParameterError(
-            f"segment too short for feature extraction: need at least "
-            f"{min_dur:.6f}s at {fs:.0f} Hz"
-        )
     freqs, power = power_frames(Signal(core, fs), frame_len, hop)
     n_fft = (power.shape[1] - 1) * 2
     fbank = mel_filterbank(mc.n_mels, n_fft, fs, mc.fmin, mc.fmax)
@@ -513,6 +543,42 @@ def _aggregate(series: dict[str, np.ndarray], aggregators: tuple[str, ...], suff
     return out
 
 
+def _channels(segment: Signal, channel_mode: str) -> list[tuple[str, np.ndarray]]:
+    """(column-name suffix, mono samples) of each channel the feature map reads."""
+    if segment.channels == 1:
+        return [("", segment.samples)]
+    if channel_mode == "mixdown":
+        return [("", segment.samples.mean(axis=1))]
+    return [(f"_ch{c}", segment.samples[:, c]) for c in range(2)]
+
+
+def _segment_features(segment: Signal, cfgs: Sequence[FeatureConfig]) -> list[FeatureVector]:
+    """g of one segment under each config.
+
+    Configs that share taps and channel mode pad each channel the same
+    way, so one zero-delay filtering pass serves all their bands.
+    """
+    fs = segment.sample_rate
+    for cfg in cfgs:
+        need = minimum_segment_samples(cfg, fs)
+        if segment.n_samples < need:
+            raise ParameterError(
+                f"segment too short for feature extraction: need at least "
+                f"{need / fs:.6f}s at {fs:.0f} Hz"
+            )
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault((cfg.taps, cfg.channel_mode), []).append(i)
+    values: list[dict[str, float]] = [{} for _ in cfgs]
+    for (taps, channel_mode), members in groups.items():
+        kernels = [band_spectrum(cfgs[i].band_lo, cfgs[i].band_hi, fs, taps) for i in members]
+        for suffix, x in _channels(segment, channel_mode):
+            for i, filtered in zip(members, zero_delay_filter(x, taps, kernels)):
+                series = _frame_feature_block(filtered, fs, cfgs[i])
+                values[i].update(_aggregate(series, cfgs[i].aggregators, suffix))
+    return [FeatureVector(v) for v in values]
+
+
 def extract_features(segment: Signal, cfg: FeatureConfig) -> FeatureVector:
     """The feature map g: one repetition segment -> named features.
 
@@ -521,18 +587,7 @@ def extract_features(segment: Signal, cfg: FeatureConfig) -> FeatureVector:
     spectrum is restricted to [band_lo, band_hi]), so components well
     outside the band cannot move them.
     """
-    if segment.channels == 2 and cfg.channel_mode == "mixdown":
-        mono = Signal(segment.samples.mean(axis=1), segment.sample_rate)
-        channels = [("", mono)]
-    elif segment.channels == 2:
-        channels = [("_ch0", segment.channel(0)), ("_ch1", segment.channel(1))]
-    else:
-        channels = [("", segment)]
-    values: dict[str, float] = {}
-    for suffix, chan in channels:
-        series = _frame_feature_block(chan.samples, chan.sample_rate, cfg)
-        values.update(_aggregate(series, cfg.aggregators, suffix))
-    return FeatureVector(values)
+    return _segment_features(segment, [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +736,8 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
 
     def one_session(rec: SessionRecord) -> list[list[dict[str, float]]]:
         segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
-        return [[extract_features(seg, cfg).values for seg in segments] for cfg in cfgs]
+        per_segment = [_segment_features(seg, cfgs) for seg in segments]
+        return [[vec.values for vec in per_cfg] for per_cfg in zip(*per_segment)]
 
     per_session = pmap(one_session, manifest.sessions)
     n_reps = [len(values[0]) for values in per_session]

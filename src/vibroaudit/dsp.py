@@ -1,17 +1,21 @@
 """Signal-processing primitives: band-pass filtering, time-frequency
 analysis, and mel-cepstral features.
 
-Everything here is pure and deterministic: no global state, no hidden
-randomness, safe to call from worker threads.  Frequencies are Hz,
-times are seconds, signals are float64 arrays normalized to [-1, 1].
+Everything here is pure and deterministic: no hidden randomness, safe to
+call from worker threads.  The only state is three bounded caches of
+derived constants (band-pass kernel spectra, mel filterbanks, DCT
+matrices), which hand out read-only arrays.  Frequencies are Hz, times
+are seconds, signals are float64 arrays normalized to [-1, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import ParameterError
 
@@ -146,6 +150,16 @@ class MfccConfig:
 # band-pass filtering
 
 
+def _check_band(lo: float, hi: float, sample_rate: float, taps: int) -> None:
+    nyq = sample_rate / 2.0
+    if not (0 < lo < hi):
+        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    if hi > nyq:
+        raise ParameterError(f"hi={hi} exceeds Nyquist {nyq}")
+    if taps < 3 or taps % 2 == 0:
+        raise ParameterError(f"taps must be an odd integer >= 3, got {taps}")
+
+
 def design_bandpass_fir(lo: float, hi: float, sample_rate: float, taps: int = DEFAULT_BANDPASS_TAPS) -> np.ndarray:
     """Design a linear-phase windowed-sinc band-pass FIR.
 
@@ -157,13 +171,7 @@ def design_bandpass_fir(lo: float, hi: float, sample_rate: float, taps: int = DE
     Taps are exactly palindromic, so the phase is exactly linear and
     the group delay is the constant (taps - 1) / 2.
     """
-    nyq = sample_rate / 2.0
-    if not (0 < lo < hi):
-        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if hi > nyq:
-        raise ParameterError(f"hi={hi} exceeds Nyquist {nyq}")
-    if taps < 3 or taps % 2 == 0:
-        raise ParameterError(f"taps must be an odd integer >= 3, got {taps}")
+    _check_band(lo, hi, sample_rate, taps)
     m = (taps - 1) // 2
     n = np.arange(taps) - m
     f_lo = lo / sample_rate
@@ -189,39 +197,74 @@ def fir_response_db(taps_arr: np.ndarray, freqs_hz: np.ndarray, sample_rate: flo
     return 20.0 * np.log10(np.maximum(resp, 1e-300))
 
 
-def apply_fir_zero_delay(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Convolve a mono sample array with an odd-length linear-phase FIR.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    The input is extended by (len(h)-1)/2 samples of symmetric padding at
-    each end before taking the valid part of the convolution, which
-    cancels the group delay exactly: the output has the same length as
-    the input and no time shift.
+
+@lru_cache(maxsize=16)
+def _band_spectrum(lo: float, hi: float, sample_rate: float, taps: int, n_fft: int) -> np.ndarray:
+    """rfft of the :func:`design_bandpass_fir` kernel at length ``n_fft``."""
+    return _readonly(sp_fft.rfft(design_bandpass_fir(lo, hi, sample_rate, taps), n_fft))
+
+
+def band_spectrum(lo: float, hi: float, sample_rate: float, taps: int) -> Callable[[int], np.ndarray]:
+    """The band-pass kernel of (lo, hi, sample_rate, taps) as :func:`zero_delay_filter`
+    takes it: a function of the transform length, cached and read-only."""
+    _check_band(lo, hi, sample_rate, taps)
+    return partial(_band_spectrum, lo, hi, sample_rate, taps)
+
+
+def zero_delay_filter(x: np.ndarray, taps: int,
+                      kernels: Sequence[Callable[[int], np.ndarray]]) -> list[np.ndarray]:
+    """Convolve a mono sample array with odd-length linear-phase FIRs of
+    ``taps`` coefficients each, without delay.
+
+    The input is extended by (taps - 1) / 2 samples of symmetric padding
+    at each end and transformed once; each kernel, given as its one-sided
+    spectrum at a transform length (``kernels[i](n_fft)``), then costs
+    one multiply and one inverse FFT.  The centred valid part of each
+    convolution cancels the group delay exactly: every output has the
+    length of the input and no time shift.  Transform lengths and
+    operation order are those of ``scipy.signal.fftconvolve(padded, h,
+    "valid")``, so the output equals it bit for bit.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1 or len(h) % 2 == 0:
+    if taps < 1 or taps % 2 == 0:
         raise ParameterError("zero-delay filtering needs an odd number of taps")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ParameterError("zero-delay filtering expects a mono sample array")
     if len(x) == 0:
-        return np.asarray(x, dtype=np.float64).copy()
-    m = (len(h) - 1) // 2
-    padded = np.pad(np.asarray(x, dtype=np.float64), m, mode="symmetric")
-    return fftconvolve(padded, h, mode="valid")
+        return [x.copy() for _ in kernels]
+    padded = np.pad(x, (taps - 1) // 2, mode="symmetric")
+    n_fft = sp_fft.next_fast_len(len(padded) + taps - 1, True)
+    spectrum = sp_fft.rfft(padded, n_fft)
+    # np.multiply, not `*`: numpy may evaluate `a * temporary` in place as
+    # `temporary * a`, and the swapped complex product can round differently
+    return [sp_fft.irfft(np.multiply(spectrum, kernel(n_fft)), n_fft)[taps - 1 : taps - 1 + len(x)]
+            for kernel in kernels]
+
+
+def apply_fir_zero_delay(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`zero_delay_filter` of a mono sample array with one explicit
+    odd-length linear-phase FIR ``h``."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1:
+        raise ParameterError("zero-delay filtering needs a 1-D kernel")
+    return zero_delay_filter(x, len(h), [partial(sp_fft.rfft, h)])[0]
 
 
 def bandpass(signal: Signal, lo: float, hi: float, taps: int = DEFAULT_BANDPASS_TAPS) -> Signal:
     """Zero-delay band-pass filter.
 
-    The signal is convolved with the linear-phase FIR from
-    :func:`design_bandpass_fir` through :func:`apply_fir_zero_delay`, so
+    Each channel is convolved with the linear-phase FIR from
+    :func:`design_bandpass_fir` through :func:`zero_delay_filter`, so
     the output has the same length as the input and no time shift.
     """
-    h = design_bandpass_fir(lo, hi, signal.sample_rate, taps)
-    if signal.channels == 1:
-        out = apply_fir_zero_delay(signal.samples, h)
-    else:
-        out = np.column_stack(
-            [apply_fir_zero_delay(signal.samples[:, c], h) for c in range(2)]
-        )
-    return Signal(out, signal.sample_rate)
+    kernel = band_spectrum(lo, hi, signal.sample_rate, taps)
+    columns = signal.samples.reshape(signal.n_samples, signal.channels).T
+    out = [zero_delay_filter(col, taps, [kernel])[0] for col in columns]
+    return Signal(np.column_stack(out), signal.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +363,23 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fma
 
     Centers are equally spaced on the m = 2595 log10(1 + f/700) scale
     between fmin and fmax; each row is a unit-peak triangle between its
-    neighbors' centers.  Shape (n_mels, n_fft // 2 + 1).
+    neighbors' centers.  Shape (n_mels, n_fft // 2 + 1); n_mels may not
+    exceed the bin count.  The array is cached and read-only.
     """
     nyq = sample_rate / 2.0
     if fmax > nyq:
         raise ParameterError(f"fmax={fmax} exceeds Nyquist {nyq}")
     if fmin >= fmax:
         raise ParameterError(f"need fmin < fmax, got ({fmin}, {fmax})")
+    if n_mels > n_fft // 2 + 1:
+        raise ParameterError(
+            f"n_mels={n_mels} exceeds the {n_fft // 2 + 1} one-sided bins of a {n_fft}-point FFT"
+        )
+    return _mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax)
+
+
+@lru_cache(maxsize=32)
+def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fmax: float) -> np.ndarray:
     edges_hz = np.asarray(
         mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     )
@@ -337,16 +390,18 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fma
         up = (bin_freqs - left) / max(center - left, 1e-12)
         down = (right - bin_freqs) / max(right - center, 1e-12)
         fbank[i] = np.maximum(0.0, np.minimum(up, down))
-    return fbank
+    return _readonly(fbank)
 
 
+@lru_cache(maxsize=32)
 def dct2_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix of size n x n (rows are basis vectors)."""
+    """Orthonormal DCT-II matrix of size n x n (rows are basis vectors),
+    cached and read-only."""
     k = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     mat = np.cos(np.pi * k * (2 * j + 1) / (2.0 * n)) * np.sqrt(2.0 / n)
     mat[0] /= np.sqrt(2.0)
-    return mat
+    return _readonly(mat)
 
 
 def power_frames(signal: Signal, frame_len: int, hop: int, n_fft: int | None = None) -> tuple[np.ndarray, np.ndarray]:

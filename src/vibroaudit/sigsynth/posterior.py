@@ -65,13 +65,6 @@ class PosteriorResult:
     def n_cells(self) -> int:
         return len(self.cell_mass)
 
-    def as_mapping(self) -> dict[int, dict[str, float]]:
-        """Reachable cells only, as {cell index: {health: probability}}."""
-        return {
-            int(c): {h: float(self.posterior[c, k]) for k, h in enumerate(self.classes)}
-            for c in np.flatnonzero(self.reachable)
-        }
-
 
 def _check_capacity(world: WorldSpec) -> None:
     if world.n_sources > MAX_POSTERIOR_SOURCES:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 from scipy.stats import fisher_exact
 
 import vibroaudit.audit as audit
@@ -20,6 +21,7 @@ from tablegen import (
 )
 from vibroaudit.audit import (
     _exact_association_p,
+    _running_median,
     band_scan,
     condition_on_covariate,
     counterfactual_relabel,
@@ -148,6 +150,37 @@ class TestBandScan:
 
 # ---------------------------------------------------------------------------
 # detect_persistent_tones
+
+
+# power values with ties, zeros, subnormals and a wide dynamic range
+power_values = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 1.0, 3.0, 1e300]) | st.floats(
+    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+class TestRunningMedian:
+    @given(
+        data=st.data(),
+        n_frames=st.sampled_from([1, 16, 17, 20, 33]),
+        n_bins=st.integers(1, 40),
+        half=st.integers(1, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_median_filter(self, data, n_frames, n_bins, half):
+        w = 2 * half + 1  # wider than the row when half >= n_bins
+        cells = data.draw(st.lists(power_values, min_size=n_frames * n_bins, max_size=n_frames * n_bins))
+        power = np.array(cells, dtype=np.float64).reshape(n_frames, n_bins)
+        zero_rows = data.draw(st.lists(st.integers(0, n_frames - 1), max_size=3))
+        power[zero_rows] = 0.0
+        expected = median_filter(power, size=(1, w), mode="nearest")
+        np.testing.assert_array_equal(_running_median(power, w), expected)
+
+    def test_session_sized_spectrogram(self):
+        spec = tone_spec([(33_000.0, 0.05)])
+        power = spec.magnitudes**2
+        np.testing.assert_array_equal(
+            _running_median(power, 41), median_filter(power, size=(1, 41), mode="nearest")
+        )
 
 
 class TestDetectPersistentTones:

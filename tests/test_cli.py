@@ -327,6 +327,26 @@ class TestErrorPaths:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("features", {"taps": 10**20 + 1}, "segment too short"),
+            ("features", {"taps": 10**20}, "taps must be an odd integer >= 3"),
+            ("features", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 10**20}}, "n_mels="),
+            ("band-scan", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 10**20}}, "n_mels="),
+        ],
+    )
+    def test_huge_well_typed_config_values_exit_one(self, tone_dataset, tmp_path, capsys,
+                                                    command, extra, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"band_lo": 250.0, "band_hi": 6000.0, **extra}))
+        argv = ["--manifest", str(tone_dataset / "manifest.json"), "--config", str(cfg_path),
+                "--out", str(tmp_path / "out")]
+        rc = run(command, *argv) if command == "features" else run("audit", command, *argv)
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("text", ['{"day0": ["g0", "Healthy"]', b"\xff\xfe{}"])
     def test_relabel_file_that_is_not_json_exits_one(self, tmp_path, capsys, text):
         csv_path = tmp_path / "day.csv"

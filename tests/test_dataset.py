@@ -23,6 +23,7 @@ from vibroaudit.dataset import (
     minimum_segment_samples,
     save_manifest,
     segment_repetitions,
+    wav_sample_rate,
     write_wav,
 )
 from vibroaudit.dsp import Signal
@@ -280,6 +281,18 @@ class TestWav:
         with pytest.raises(FormatError, match="sample_rate"):
             ingest_wav(path)
 
+    def test_sample_rate_comes_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        write_wav(path, Signal(np.zeros((6, 2)), 44_100.0))
+        assert wav_sample_rate(path) == 44_100.0
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        # the samples are never decoded, so a NaN in them goes unseen
+        assert wav_sample_rate(path) == 44_100.0
+        with pytest.raises(FormatError, match="finite"):
+            ingest_wav(path)
+
     def test_pcm16_round_trip_close(self, tmp_path):
         rng = np.random.default_rng(2)
         x = np.clip(rng.normal(scale=0.2, size=300), -1, 1)
@@ -432,6 +445,11 @@ class TestExtractFeatures:
         with pytest.raises(ParameterError):
             FeatureConfig(band_lo=250.0, band_hi=10_000.0, extra_features=("flux",))
 
+    @pytest.mark.parametrize("taps", [512, 1, -1, 10**20])
+    def test_config_rejects_even_or_tiny_taps(self, taps):
+        with pytest.raises(ParameterError, match="taps must be an odd integer >= 3"):
+            FeatureConfig(band_lo=250.0, band_hi=10_000.0, taps=taps)
+
     def test_config_json_round_trip(self):
         cfg = FeatureConfig(band_lo=900.0, band_hi=3_000.0, aggregators=("mean",))
         again = FeatureConfig.from_json_dict(cfg.to_json_dict())
@@ -557,6 +575,25 @@ class TestFeatureTable:
             for col in LABEL_FIELDS:
                 np.testing.assert_array_equal(got.labels[col], want.labels[col])
         assert extract_tables(manifest, []) == []
+
+    def test_configs_sharing_one_filter_pass_equal_separate_extraction(self, tmp_path):
+        fs = 16_000.0
+        rng = np.random.default_rng(3)
+        for i in range(2):
+            write_wav(tmp_path / f"s{i}.wav", Signal(0.1 * rng.normal(size=(int(fs) + i, 2)), fs))
+        sessions = [session_obj(i, wav_path=f"s{i}.wav", health=("Healthy", "Unhealthy")[i])
+                    for i in range(2)]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        cfgs = [FeatureConfig(band_lo=lo, band_hi=hi, taps=taps, channel_mode=mode)
+                for lo, hi, taps, mode in [(200.0, 6_000.0, 513, "per-channel"),
+                                           (1_000.0, 3_000.0, 129, "per-channel"),
+                                           (300.0, 2_000.0, 513, "per-channel"),
+                                           (200.0, 6_000.0, 513, "mixdown")]]
+        for got, cfg in zip(extract_tables(manifest, cfgs), cfgs):
+            want = extract_table(manifest, cfg)
+            assert got.feature_names == want.feature_names
+            np.testing.assert_array_equal(got.matrix, want.matrix)
 
     def test_mono_and_stereo_sessions_name_the_session(self, tmp_path):
         fs = 16_000.0
@@ -686,6 +723,23 @@ class TestFuzz:
         except VibroauditError:
             return
         assert sig.sample_rate > 0 and np.all(np.isfinite(sig.samples))
+
+    @given(chunk_list=st.lists(chunks, max_size=4), cut=st.none() | st.integers(0, 120))
+    @settings(max_examples=300, deadline=None)
+    def test_header_rate_agrees_with_ingest(self, tmp_path_factory, chunk_list, cut):
+        path = tmp_path_factory.mktemp("fuzzwav") / "x.wav"
+        path.write_bytes(_wav_bytes(chunk_list, cut))
+        try:
+            rate = wav_sample_rate(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as ingest_exc:
+                ingest_wav(path)
+            assert str(ingest_exc.value) == str(exc)
+            return
+        try:
+            assert ingest_wav(path).sample_rate == rate
+        except FormatError as exc:  # only the sample values are left to fail
+            assert "finite" in str(exc)
 
     @given(
         over=st.dictionaries(

@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from vibroaudit.dataset import FeatureConfig, extract_features
 from vibroaudit.dsp import (
     MfccConfig,
     Signal,
     Spectrogram,
+    apply_fir_zero_delay,
+    band_spectrum,
     bandpass,
     dct2_matrix,
     design_bandpass_fir,
@@ -30,6 +33,7 @@ from vibroaudit.dsp import (
     spectral_frame_energy,
     stft,
     stft_complex,
+    zero_delay_filter,
 )
 from vibroaudit.errors import ParameterError
 
@@ -199,6 +203,72 @@ class TestBandpassFilter:
         left = bandpass(Signal(x[:, 0], FS), 250, 10_000)
         np.testing.assert_allclose(out.samples[:, 0], left.samples, rtol=0, atol=1e-12)
         assert out.samples.shape == x.shape
+
+
+class TestZeroDelayFilter:
+    """One forward FFT per channel serves every band; each band equals the
+    direct fftconvolve of the symmetrically padded input, bit for bit."""
+
+    BANDS = [(250.0, 10_000.0), (10_000.0, 20_000.0), (20_000.0, 30_000.0), (40_000.0, 50_000.0)]
+
+    @staticmethod
+    def reference(x, h):
+        m = (len(h) - 1) // 2
+        return fftconvolve(np.pad(x, m, "symmetric"), h, "valid")
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 30_001, 100_000])
+    @pytest.mark.parametrize("taps", [3, 129, 513])
+    def test_every_band_equals_fftconvolve(self, n, taps):
+        x = np.random.default_rng(n + taps).normal(size=n)
+        kernels = [band_spectrum(lo, hi, FS, taps) for lo, hi in self.BANDS]
+        for (lo, hi), got in zip(self.BANDS, zero_delay_filter(x, taps, kernels)):
+            np.testing.assert_array_equal(got, self.reference(x, design_bandpass_fir(lo, hi, FS, taps)))
+
+    @pytest.mark.parametrize("n", [4_000, 4_001])
+    @pytest.mark.parametrize("taps", [5, 513])
+    def test_stereo_bandpass_equals_fftconvolve_per_column(self, n, taps):
+        x = np.random.default_rng(n).normal(size=(n, 2))
+        for lo, hi in self.BANDS:
+            out = bandpass(Signal(x, FS), lo, hi, taps).samples
+            h = design_bandpass_fir(lo, hi, FS, taps)
+            assert out.shape == x.shape
+            for c in range(2):
+                np.testing.assert_array_equal(out[:, c], self.reference(x[:, c], h))
+
+    # 100_000 samples give spectra above numpy's 256 KiB temporary-elision threshold
+    @pytest.mark.parametrize("n", [7, 2_000, 2_001, 100_000])
+    def test_explicit_kernel_equals_fftconvolve(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        h = rng.normal(size=129)
+        np.testing.assert_array_equal(apply_fir_zero_delay(x, h), self.reference(x, h))
+
+    def test_empty_input_gives_one_empty_output_per_kernel(self):
+        kernels = [band_spectrum(lo, hi, FS, 513) for lo, hi in self.BANDS]
+        out = zero_delay_filter(np.zeros(0), 513, kernels)
+        assert len(out) == len(self.BANDS) and all(o.shape == (0,) for o in out)
+
+    def test_errors(self):
+        with pytest.raises(ParameterError):
+            zero_delay_filter(np.zeros(10), 4, [])
+        with pytest.raises(ParameterError):
+            zero_delay_filter(np.zeros((10, 2)), 5, [])
+        with pytest.raises(ParameterError):
+            band_spectrum(250.0, 60_000.0, FS, 513)
+
+
+class TestCachedArraysAreReadOnly:
+    @pytest.mark.parametrize("make", [
+        lambda: mel_filterbank(26, 2048, FS, 250.0, 10_000.0),
+        lambda: dct2_matrix(13),
+        lambda: band_spectrum(250.0, 10_000.0, FS, 513)(4096),
+    ])
+    def test_writing_raises_and_leaves_the_cache_intact(self, make):
+        arr = make()
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        np.testing.assert_array_equal(make(), before)
 
 
 # ---------------------------------------------------------------------------
