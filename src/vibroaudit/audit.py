@@ -31,7 +31,8 @@ Everything is deterministic given (inputs, seed): stochastic steps draw
 from per-item counter-based streams, so parallel execution and repetition
 order cannot change any number.  The Monte-Carlo analyses (conditioning,
 mixing, rotation, counterfactual) draw first and score each distinct draw
-once, since a draw's accuracy is a pure function of what was drawn.
+once, as plain arrays in stacked blocks, since a draw's accuracy is a pure
+function of what was drawn.
 """
 
 from __future__ import annotations
@@ -43,24 +44,22 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._parallel import pmap
+from ._parallel import pmap  # noqa: F401  unused here; perfbench/spans.py patches audit.pmap
 from ._rng import stream, substream_id
 from .dataset import (
     FeatureConfig,
     FeatureTable,
     Manifest,
+    check_segment_length,
     extract_table,  # noqa: F401  unused here; perfbench/spans.py patches audit.extract_table
     extract_tables,
     ingest_wav,  # noqa: F401  unused here; perfbench/spans.py patches audit.ingest_wav
+    wav_frames,
     wav_sample_rate,
 )
 from .dsp import Spectrogram, mel_filterbank
 from .errors import DegeneracyError, ParameterError
-from .learn import (
-    CvResult,
-    loso_cv,
-    pca2,
-)
+from .learn import CvResult, loso_accuracies, loso_cv, pca2
 
 AUDIT_COVARIATES = ("device", "side", "subject")
 
@@ -125,8 +124,12 @@ def band_scan(
     """
     if len({rec.subject_id for rec in manifest.sessions}) < 2:
         raise ParameterError("band scan needs >= 2 subjects")
-    fs = wav_sample_rate(manifest.wav_file(manifest.sessions[0]))
+    first = manifest.wav_file(manifest.sessions[0])
+    fs = wav_sample_rate(first)
     _validate_bands(bands, fs / 2.0)
+    # every band keeps cfg's frame and taps; if no segment of the first
+    # session fits them, extraction would stop there
+    check_segment_length(wav_frames(first), cfg, fs)
 
     accs = np.full(len(bands), np.nan)
     skipped: dict[int, str] = {}
@@ -363,31 +366,27 @@ def tone_prevalence_by_label(
 # Monte-Carlo draws
 
 
-def _draw_accuracies(keys: Sequence, build, group_key: str, target: str) -> np.ndarray:
+def _draw_accuracies(keys: Sequence, build) -> np.ndarray:
     """LOSO accuracy of every draw, scoring each distinct key once.
 
-    ``build(key)`` gives the draw's table, or None where the cross
-    validation is undefined (NaN); a key fully determines its accuracy.
+    ``build(key)`` gives the draw's (matrix, groups, targets), built
+    lazily as ``loso_accuracies`` fits them; a key fully determines its
+    accuracy (NaN where fewer than 2 groups or 2 classes remain).
     """
-
-    def score(key) -> float:
-        sub = build(key)
-        if sub is None:
-            return float("nan")
-        return loso_cv(sub, group_key=group_key, target=target).mean_repetition_accuracy
-
     unique = list(dict.fromkeys(keys))
-    acc_of = dict(zip(unique, pmap(score, unique)))
+    acc_of = dict(zip(unique, loso_accuracies(map(build, unique))))
     return np.array([acc_of[key] for key in keys], dtype=np.float64)
 
 
-def _rows_in(table: FeatureTable, column: str, key, group_key: str, target: str):
-    """Rows whose ``column`` is in ``key``; None unless 2 classes and 2 groups remain."""
-    chosen = set(key)
-    sub = table.select(np.array([v in chosen for v in table.label(column)]))
-    if min(len(set(sub.label(c).tolist())) for c in (target, group_key)) < 2:
-        return None
-    return sub
+def _rows_in(table: FeatureTable, column: str, group_key: str, target: str):
+    """``build`` of draws that keep the rows whose ``column`` is in the key."""
+    values, groups, targets = (table.label(c) for c in (column, group_key, target))
+
+    def build(key):
+        rows = np.isin(values, key)
+        return table.matrix[rows], groups[rows], targets[rows]
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +555,7 @@ def condition_on_covariate(
         return tuple(sorted(groups_all[j] for j in picked))
 
     samples = _draw_accuracies(
-        [draw(i) for i in range(control_repeats)],
-        lambda key: _rows_in(table, group_key, key, group_key, target), group_key, target,
+        [draw(i) for i in range(control_repeats)], _rows_in(table, group_key, group_key, target)
     )
     valid = samples[~np.isnan(samples)]
     if len(valid) == 0:
@@ -673,7 +671,7 @@ def incremental_mixing_curve(
 
     accs = _draw_accuracies(
         [draw(n) for n in range(2 * len(counts) * repeats)] + [tuple(pool)],
-        lambda key: _rows_in(table, "session_id", key, group_key, target), group_key, target,
+        _rows_in(table, "session_id", group_key, target),
     )
     draws = accs[:-1].reshape(len(counts), repeats, 2)
     return MixingCurveResult(
@@ -796,25 +794,20 @@ def rotation_analysis(
     rot_mask = col == rotate_value
     center = z[rot_mask].mean(axis=0)
 
-    def table_at(theta: float) -> FeatureTable:
+    def rotated(theta: float):
         # theta = phi gives delta = 0 exactly: the unmodified rows
         delta = orient * theta - phi_signed
         pts = z
         if delta != 0.0:
             r = np.radians(delta)
-            rot = np.array(
-                [[np.cos(r), -np.sin(r)], [np.sin(r), np.cos(r)]]
-            )
+            rot = np.array([[np.cos(r), -np.sin(r)], [np.sin(r), np.cos(r)]])
             pts = z.copy()
             pts[rot_mask] = (z[rot_mask] - center) @ rot.T + center
-        return FeatureTable(
-            feature_names=list(table.feature_names),
-            matrix=pts,
-            labels=dict(table.labels),
-            repetition_index=table.repetition_index,
-        )
+        return pts, table.label(group_key), table.label(target)
 
-    accs = _draw_accuracies([phi, 0.0] + grid, table_at, group_key, target).tolist()
+    accs = _draw_accuracies([phi, 0.0] + grid, rotated).tolist()
+    if np.isnan(accs[0]):
+        raise ParameterError(f"rotation needs >= 2 {group_key} values and 2 {target} classes")
     return RotationResult(
         subgroup_key=subgroup_key,
         subgroup_values=(str(values[0]), str(values[1])),
@@ -872,29 +865,26 @@ def counterfactual_relabel(
     """
     if n_permutations < 0:
         raise ParameterError(f"n_permutations must be >= 0, got {n_permutations}")
-    groups = table.label(group_key)
-    group_values = sorted(set(groups.tolist()))
+    group_values, group_index = np.unique(table.label(group_key), return_inverse=True)
     missing = sorted(set(group_values) - set(relabel))
     if missing:
         raise ParameterError(f"relabel spec misses groups: {missing[:5]}")
 
-    def relabeled(classes: Sequence[str]) -> FeatureTable:
-        health_of = dict(zip(group_values, classes))
-        t2 = table.select(np.ones(table.n_rows, dtype=bool))
-        t2.labels["subject"] = np.array([relabel[g][0] for g in groups], dtype=object)
-        t2.labels[target] = np.array([health_of[g] for g in groups], dtype=object)
-        return t2
+    subjects = np.array([relabel[g][0] for g in group_values], dtype=object)[group_index]
+
+    def relabeled(classes: Sequence[str]):
+        # the unchanged rows, grouped by counterfactual subject
+        return table.matrix, subjects, np.asarray(classes, dtype=object)[group_index]
 
     balance = np.array([relabel[g][1] for g in group_values], dtype=object)
-    cv = loso_cv(relabeled(balance), group_key="subject", target=target)
+    observed = {**table.labels, "subject": subjects, target: relabeled(balance)[2]}
+    cv = loso_cv(replace(table, labels=observed), group_key="subject", target=target)
 
     def draw(i: int) -> tuple[str, ...]:
         rng = stream(seed, substream_id("permutation", i))
         return tuple(balance[rng.permutation(len(balance))])
 
-    null = _draw_accuracies(
-        [draw(i) for i in range(n_permutations)], relabeled, "subject", target
-    )
+    null = _draw_accuracies([draw(i) for i in range(n_permutations)], relabeled)
     null_mean = float(null.mean()) if len(null) else float("nan")
     return RelabelResult(
         cv=cv,

@@ -71,12 +71,6 @@ class Manifest:
     sessions: list[SessionRecord]
     root: Path
 
-    def class_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in HEALTH_LABELS}
-        for rec in self.sessions:
-            counts[rec.health_label] += 1
-        return counts
-
     def wav_file(self, rec: SessionRecord) -> Path:
         p = Path(rec.wav_path)
         return p if p.is_absolute() else self.root / p
@@ -255,6 +249,14 @@ def wav_sample_rate(path) -> float:
     path = Path(path)
     with open(path, "rb") as fh:
         return _wav_header(fh, path)[2]
+
+
+def wav_frames(path) -> int:
+    """Samples per channel of a WAV file, read from its header alone."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        _, n_channels, _, bits, _, n_bytes = _wav_header(fh, path)
+    return n_bytes // (bits // 8) // n_channels
 
 
 def ingest_wav(path) -> Signal:
@@ -483,6 +485,16 @@ def minimum_segment_samples(cfg: FeatureConfig, sample_rate: float) -> int:
     return trim + cfg.mfcc.frame_len(sample_rate)
 
 
+def check_segment_length(n_samples: int, cfg: FeatureConfig, sample_rate: float) -> None:
+    """Raise unless a segment of ``n_samples`` is long enough for the feature map."""
+    need = minimum_segment_samples(cfg, sample_rate)
+    if n_samples < need:
+        raise ParameterError(
+            f"segment too short for feature extraction: need at least "
+            f"{need / sample_rate:.6f}s at {sample_rate:.0f} Hz"
+        )
+
+
 def _frame_feature_block(filtered: np.ndarray, fs: float, cfg: FeatureConfig) -> dict[str, np.ndarray]:
     """Per-frame feature series of one band-passed mono channel."""
     m = (cfg.taps - 1) // 2
@@ -560,12 +572,7 @@ def _segment_features(segment: Signal, cfgs: Sequence[FeatureConfig]) -> list[Fe
     """
     fs = segment.sample_rate
     for cfg in cfgs:
-        need = minimum_segment_samples(cfg, fs)
-        if segment.n_samples < need:
-            raise ParameterError(
-                f"segment too short for feature extraction: need at least "
-                f"{need / fs:.6f}s at {fs:.0f} Hz"
-            )
+        check_segment_length(segment.n_samples, cfg, fs)
     groups: dict[tuple[int, str], list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault((cfg.taps, cfg.channel_mode), []).append(i)

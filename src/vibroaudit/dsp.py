@@ -64,14 +64,6 @@ class Signal:
     def duration(self) -> float:
         return self.n_samples / self.sample_rate
 
-    def channel(self, index: int) -> "Signal":
-        """Extract one channel as a mono Signal."""
-        if index < 0 or index >= self.channels:
-            raise ParameterError(f"channel {index} out of range for {self.channels}-channel signal")
-        if self.channels == 1:
-            return self
-        return Signal(self.samples[:, index].copy(), self.sample_rate)
-
 
 @dataclass
 class Spectrogram:
@@ -134,13 +126,16 @@ class MfccConfig:
             )
         if self.n_mels < 1 or self.n_coeffs < 1:
             raise ParameterError("n_mels and n_coeffs must be >= 1")
-        if self.frame_ms <= 0 or not (0 < self.hop_fraction <= 1):
-            raise ParameterError("frame_ms must be > 0 and hop_fraction in (0, 1]")
+        if not (0 < self.frame_ms < np.inf) or not (0 < self.hop_fraction <= 1):
+            raise ParameterError("frame_ms must be finite and > 0 and hop_fraction in (0, 1]")
         if self.log_floor <= 0:
             raise ParameterError("log_floor must be > 0")
 
     def frame_len(self, sample_rate: float) -> int:
-        return max(2, int(round(sample_rate * self.frame_ms / 1000.0)))
+        n = sample_rate * self.frame_ms / 1000.0
+        if n == np.inf:
+            raise ParameterError(f"frame_ms={self.frame_ms} gives no finite frame at {sample_rate} Hz")
+        return max(2, int(round(n)))
 
     def hop(self, sample_rate: float) -> int:
         return max(1, int(round(self.frame_len(sample_rate) * self.hop_fraction)))
@@ -304,7 +299,7 @@ def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     :func:`spectral_frame_energy` takes these coefficients.
     """
     if signal.channels != 1:
-        raise ParameterError("stft expects a mono signal; use Signal.channel() first")
+        raise ParameterError("stft expects a mono signal; mix its channels down first")
     if frame_len < 2 or (frame_len & (frame_len - 1)) != 0:
         raise ParameterError(f"frame_len must be a power of two >= 2, got {frame_len}")
     if not (0 < hop <= frame_len):

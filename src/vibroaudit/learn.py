@@ -8,17 +8,18 @@ gradient descent would, in two orders of magnitude fewer iterations
 (the audit battery refits thousands of folds per run).  Convergence is
 declared when the gradient max-norm drops below tol.
 
-Cross-validation fits all of its folds as one stack: folds whose
-training designs share a shape go through one batched Newton kernel
-(one stacked solve per iteration, a step size and a stopping iteration
-per fold), and ``fit_linear`` is the same kernel on a stack of one, so
-a fold refitted alone gives its cross-validated model bit for bit.
+One leave-one-group-out core gives a problem's fold designs, scores
+its held-out rows and reduces them to an accuracy: ``loso_cv`` adds the
+fold-level report, ``loso_accuracies`` keeps only the accuracy of many
+problems (Monte-Carlo draws).  Folds of one shape go through one batched
+Newton kernel, and ``fit_linear`` is that kernel on a stack of one, so a
+fit's bits never depend on what else shares its stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -162,56 +163,45 @@ class _Prepared:
 
     Xa: np.ndarray
     y: np.ndarray
-    feature_names: list[str]
     keep: np.ndarray
     mean: np.ndarray
     std: np.ndarray
     classes: tuple[str, str]
 
 
-def _prepare(features, labels, feature_names: list[str] | None) -> _Prepared:
+def _prepare(features, labels) -> _Prepared:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     labels = np.asarray(labels, dtype=object)
     if X.shape[0] != len(labels):
         raise ParameterError(f"{X.shape[0]} rows but {len(labels)} labels")
-    class_values = sorted(set(labels.tolist()))
-    if len(class_values) != 2:
-        raise ParameterError(
-            f"need exactly 2 classes, got {len(class_values)}: {class_values}"
-        )
-    negative, positive = class_values
-    if feature_names is None:
-        feature_names = [f"f{j:02d}" for j in range(X.shape[1])]
-    if len(feature_names) != X.shape[1]:
-        raise ParameterError("feature_names length does not match feature count")
-
+    negative, positive = _two_classes(labels, "labels")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     keep = std > 0
     Xs = (X[:, keep] - mean[keep]) / std[keep]
-    return _Prepared(
-        Xa=np.hstack([Xs, np.ones((Xs.shape[0], 1))]),
-        y=(labels == positive).astype(np.float64),
-        feature_names=list(feature_names),
-        keep=keep,
-        mean=mean,
-        std=std,
-        classes=(str(negative), str(positive)),
-    )
+    Xa = np.hstack([Xs, np.ones((Xs.shape[0], 1))])
+    y = (labels == positive).astype(np.float64)
+    return _Prepared(Xa, y, keep, mean, std, (str(negative), str(positive)))
 
 
-def _fit_prepared(
-    fits: list[_Prepared], l2: float, max_iter: int, tol: float
-) -> list[LinearModel]:
-    """Fit every prepared design, one Newton stack per (rows, columns) shape."""
+def _two_classes(labels: np.ndarray, what: str) -> list:
+    values = sorted(set(labels.tolist()))
+    if len(values) != 2:
+        raise ParameterError(f"{what}: need exactly 2 classes, got {values}")
+    return values
+
+
+def _fit_prepared(fits: list[_Prepared], l2: float, max_iter: int, tol: float) -> list:
+    """(theta: kept-feature weights then bias, converged, n_iter) of every
+    prepared design, fitted in one Newton stack per (rows, columns) shape."""
     if l2 < 0:
         raise ParameterError("l2 must be >= 0")
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, f in enumerate(fits):
         by_shape.setdefault(f.Xa.shape, []).append(i)
-    solved: dict[int, tuple[np.ndarray, bool, int]] = {}
+    solved: list = [None] * len(fits)
     for members in by_shape.values():
         theta, converged, n_iter = _newton_stack(
             np.stack([fits[i].Xa for i in members]),
@@ -220,26 +210,21 @@ def _fit_prepared(
         )
         for k, i in enumerate(members):
             solved[i] = theta[k], bool(converged[k]), int(n_iter[k])
+    return solved
 
-    models = []
-    for i, f in enumerate(fits):
-        theta, converged, n_iter = solved[i]
-        kept = [n for n, k in zip(f.feature_names, f.keep) if k]
-        d = len(kept)
-        models.append(LinearModel(
-            feature_names=kept,
-            weights={n: float(w) for n, w in zip(kept, theta[:d])},
-            bias=float(theta[d]),
-            standardization={
-                n: (float(m), float(s))
-                for n, m, s, k in zip(f.feature_names, f.mean, f.std, f.keep) if k
-            },
-            classes=f.classes,
-            dropped_features=[n for n, k in zip(f.feature_names, f.keep) if not k],
-            converged=converged,
-            n_iter=n_iter,
-        ))
-    return models
+
+def _linear_model(f: _Prepared, names: list[str], theta, converged, n_iter) -> LinearModel:
+    kept = [n for n, k in zip(names, f.keep) if k]
+    return LinearModel(
+        feature_names=kept,
+        weights={n: float(w) for n, w in zip(kept, theta[:-1])},
+        bias=float(theta[-1]),
+        standardization={n: (float(m), float(s)) for n, m, s, k in zip(names, f.mean, f.std, f.keep) if k},
+        classes=f.classes,
+        dropped_features=[n for n, k in zip(names, f.keep) if not k],
+        converged=converged,
+        n_iter=n_iter,
+    )
 
 
 def fit_linear(
@@ -258,25 +243,21 @@ def fit_linear(
     the one-fit call of the kernel every cross-validation uses, so a
     fold refitted here reproduces its cross-validated model exactly.
     """
-    return _fit_prepared([_prepare(features, labels, feature_names)], l2, max_iter, tol)[0]
+    fit = _prepare(features, labels)
+    names = [f"f{j:02d}" for j in range(len(fit.keep))] if feature_names is None else list(feature_names)
+    if len(names) != len(fit.keep):
+        raise ParameterError("feature_names length does not match feature count")
+    return _linear_model(fit, names, *_fit_prepared([fit], l2, max_iter, tol)[0])
 
 
-def _score_matrix(model: LinearModel, X: np.ndarray, feature_names: list[str]) -> np.ndarray:
-    """Vectorized scores for rows whose columns are feature_names."""
-    cols = []
-    for name in model.feature_names:
-        try:
-            cols.append(feature_names.index(name))
-        except ValueError:
-            raise ParameterError(f"missing feature {name!r} required by the model") from None
-    mean = np.array([model.standardization[n][0] for n in model.feature_names])
-    std = np.array([model.standardization[n][1] for n in model.feature_names])
-    Xs = (X[:, cols] - mean) / std
-    return _sigmoid(Xs @ model.weight_vector() + model.bias)
+def _scores(X: np.ndarray, mean: np.ndarray, std: np.ndarray, w: np.ndarray, bias) -> np.ndarray:
+    """p(positive) of raw feature rows under a model's standardization and weights."""
+    return _sigmoid(((X - mean) / std) @ w + bias)
 
 
-def _labels_from_scores(model: LinearModel, scores: np.ndarray) -> np.ndarray:
-    return np.where(scores > DECISION_THRESHOLD, model.classes[1], model.classes[0]).astype(object)
+def _predict_labels(scores: np.ndarray, classes) -> np.ndarray:
+    """The prediction rule: positive above DECISION_THRESHOLD, else negative."""
+    return np.where(scores > DECISION_THRESHOLD, classes[1], classes[0]).astype(object)
 
 
 def predict(model: LinearModel, feature_vector) -> tuple[str, float]:
@@ -284,20 +265,51 @@ def predict(model: LinearModel, feature_vector) -> tuple[str, float]:
 
     Accepts a mapping of feature name to value or a FeatureVector.
     """
-    if isinstance(feature_vector, FeatureVector):
-        values: Mapping[str, float] = feature_vector.values
-    else:
-        values = feature_vector
-    for name in model.feature_names:
+    names = model.feature_names
+    values = feature_vector.values if isinstance(feature_vector, FeatureVector) else feature_vector
+    for name in names:
         if name not in values:
             raise ParameterError(f"missing feature {name!r} required by the model")
-    X = np.array([[float(values[n]) for n in model.feature_names]])
-    scores = _score_matrix(model, X, list(model.feature_names))
-    return _labels_from_scores(model, scores)[0], float(scores[0])
+    mean, std = np.array([model.standardization[n] for n in names]).reshape(-1, 2).T
+    scores = _scores(np.array([[float(values[n]) for n in names]]), mean, std,
+                     model.weight_vector(), model.bias)
+    return _predict_labels(scores, model.classes)[0], float(scores[0])
 
 
 # ---------------------------------------------------------------------------
 # leave-one-group-out cross-validation
+
+
+def _loso_folds(matrix: np.ndarray, groups: np.ndarray, targets: np.ndarray, group_key: str):
+    """(group, held-out rows, training design) of each fold in sorted group
+    order, and why each skipped fold (training set single-class) was skipped."""
+    folds, skipped = [], {}
+    for g in sorted(set(groups.tolist())):
+        held = groups == g
+        present = set(targets[~held].tolist())
+        if len(present) < 2:
+            skipped[str(g)] = f"training set single-class ({present.pop()}) without {group_key}={g}"
+        else:
+            folds.append((g, held, _prepare(matrix[~held], targets[~held])))
+    return folds, skipped
+
+
+def _held_out(matrix: np.ndarray, folds, thetas, classes) -> tuple[np.ndarray, np.ndarray]:
+    """(score, predicted class) of each row under the model of the fold
+    that held it out; NaN and "" in skipped folds."""
+    scores = np.full(len(matrix), np.nan)
+    pred = np.full(len(matrix), "", dtype=object)
+    for (_, held, f), theta in zip(folds, thetas):
+        k = f.keep
+        scores[held] = _scores(matrix[held][:, k], f.mean[k], f.std[k], theta[:-1], theta[-1])
+        pred[held] = _predict_labels(scores[held], classes)
+    return scores, pred
+
+
+def _accuracy(pred: np.ndarray, targets: np.ndarray) -> float:
+    """Micro-averaged accuracy: correct over scored ("" marks unscored) repetitions."""
+    scored = pred != ""
+    return float(np.mean(pred[scored] == targets[scored])) if scored.any() else float("nan")
 
 
 @dataclass
@@ -344,82 +356,36 @@ def loso_cv(
     handling happen inside each fold's fit, so nothing from the held-out
     rows can leak into training.
     """
-    groups = table.label(group_key)
-    targets = table.label(target)
-    unique_groups = sorted(set(groups.tolist()))
-    if len(unique_groups) < 2:
-        raise ParameterError(
-            f"leave-one-{group_key}-out needs >= 2 distinct {group_key} values"
-        )
-    class_values = sorted(set(targets.tolist()))
-    if len(class_values) != 2:
-        raise ParameterError(
-            f"target {target!r} must have exactly 2 values, got {class_values}"
-        )
-    negative, positive = (str(c) for c in class_values)
+    groups, targets = table.label(group_key), table.label(target)
+    if len(set(groups.tolist())) < 2:
+        raise ParameterError(f"leave-one-{group_key}-out needs >= 2 distinct {group_key} values")
+    classes = tuple(str(c) for c in _two_classes(targets, f"target {target!r}"))
+    negative, positive = classes
+    folds, skipped = _loso_folds(table.matrix, groups, targets, group_key)
+    solved = _fit_prepared([f for _, _, f in folds], l2, max_iter, tol)
+    row_score, row_pred = _held_out(table.matrix, folds, [s[0] for s in solved], classes)
+    names = table.feature_names
+    fold_models = {str(g): _linear_model(f, names, *s) for (g, _, f), s in zip(folds, solved)}
 
-    names = list(table.feature_names)
-    fits: list[tuple[str, _Prepared]] = []
-    skipped: dict[str, str] = {}
-    for g in unique_groups:
-        train = groups != g
-        train_targets = set(targets[train].tolist())
-        if len(train_targets) < 2:
-            skipped[str(g)] = (
-                f"training set single-class ({train_targets.pop()}) without {group_key}={g}"
-            )
-            continue
-        fits.append((g, _prepare(table.matrix[train], targets[train], names)))
-    models = _fit_prepared([f for _, f in fits], l2, max_iter, tol)
-
-    n = table.n_rows
-    row_pred = np.array([""] * n, dtype=object)
-    row_score = np.full(n, np.nan)
-    fold_models: dict[str, LinearModel] = {}
-    dropped: dict[str, list[str]] = {}
-    for (g, _), model in zip(fits, models):
-        mask = groups == g
-        scores = _score_matrix(model, table.matrix[mask], names)
-        row_score[mask] = scores
-        row_pred[mask] = _labels_from_scores(model, scores)
-        fold_models[str(g)] = model
-        if model.dropped_features:
-            dropped[str(g)] = model.dropped_features
-
-    scored = np.array([p != "" for p in row_pred])
-    correct = scored & (row_pred == targets)
     per_group: dict[str, float] = {}
-    for g in unique_groups:
-        mask = (groups == g) & scored
-        if mask.any():
-            per_group[str(g)] = float(correct[mask].mean())
-    mean_acc = float(correct[scored].mean()) if scored.any() else float("nan")
-
-    # subject-level majority vote (reported, not used for acceptance)
     votes_correct = []
-    for g in unique_groups:
-        mask = (groups == g) & scored
-        if not mask.any():
-            continue
-        true_label = targets[mask][0]
-        pos_votes = int(np.sum(row_pred[mask] == positive))
-        neg_votes = int(mask.sum()) - pos_votes
-        vote = positive if pos_votes > neg_votes else negative
-        votes_correct.append(1.0 if vote == true_label else 0.0)
-    majority = float(np.mean(votes_correct)) if votes_correct else float("nan")
-
-    confusion = {t: {p: 0 for p in (negative, positive)} for t in (negative, positive)}
-    for i in range(n):
-        if scored[i]:
-            confusion[str(targets[i])][str(row_pred[i])] += 1
+    for g, held, _ in folds:
+        per_group[str(g)] = float(np.mean(row_pred[held] == targets[held]))
+        # subject-level majority vote (reported, not used for acceptance)
+        vote = positive if 2 * np.sum(row_pred[held] == positive) > held.sum() else negative
+        votes_correct.append(1.0 if vote == targets[held][0] else 0.0)
+    scored = row_pred != ""
+    confusion = {t: {p: 0 for p in classes} for t in classes}
+    for t, p in zip(targets[scored], row_pred[scored]):
+        confusion[str(t)][str(p)] += 1
 
     return CvResult(
         group_key=group_key,
         target=target,
-        classes=(negative, positive),
+        classes=classes,
         per_group_accuracy=per_group,
-        mean_repetition_accuracy=mean_acc,
-        subject_majority_accuracy=majority,
+        mean_repetition_accuracy=_accuracy(row_pred, targets),
+        subject_majority_accuracy=float(np.mean(votes_correct)) if votes_correct else np.nan,
         fold_models=fold_models,
         confusion=confusion,
         skipped_folds=skipped,
@@ -427,8 +393,50 @@ def loso_cv(
         row_true=targets.copy(),
         row_pred=row_pred,
         row_score=row_score,
-        dropped_features=dropped,
+        dropped_features={g: m.dropped_features for g, m in fold_models.items()
+                          if m.dropped_features},
     )
+
+
+# bytes of training designs per fitted block of loso_accuracies
+_BLOCK_BYTES = 2 << 20
+
+
+def loso_accuracies(
+    problems: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    l2: float = DEFAULT_L2,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """``loso_cv(...).mean_repetition_accuracy`` of each (matrix, groups,
+    targets) problem, bit for bit; NaN where fewer than 2 groups or 2
+    classes leave the cross validation undefined.
+
+    Problems are read lazily, and the folds of each block of about
+    ``_BLOCK_BYTES`` of training designs go through one ``_fit_prepared``.
+    """
+    accs: list[float] = []
+    block: list = []  # (design bytes, index, matrix, targets, classes, folds)
+
+    def fit_block() -> None:
+        solved = iter(_fit_prepared([f for *_, fs in block for _, _, f in fs], l2, max_iter, tol))
+        for _, i, matrix, targets, classes, folds in block:
+            pred = _held_out(matrix, folds, [next(solved)[0] for _ in folds], classes)[1]
+            accs[i] = _accuracy(pred, targets)
+        block.clear()
+
+    for matrix, groups, targets in problems:
+        accs.append(float("nan"))
+        if min(len(set(groups.tolist())), len(set(targets.tolist()))) < 2:
+            continue
+        classes = _two_classes(targets, "target")
+        folds, _ = _loso_folds(matrix, groups, targets, "group")
+        size = sum(f.Xa.nbytes for _, _, f in folds)
+        if block and sum(b[0] for b in block) + size > _BLOCK_BYTES:
+            fit_block()
+        block.append((size, len(accs) - 1, matrix, targets, classes, folds))
+    fit_block()
+    return np.array(accs, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

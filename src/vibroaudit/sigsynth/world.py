@@ -183,8 +183,10 @@ class CohortSpec:
             raise ParameterError("health_split must be in [0, 1]")
         if self.n_repetitions < 1:
             raise ParameterError("n_repetitions must be >= 1")
-        if self.repetition_duration_s <= 0:
-            raise ParameterError("repetition_duration_s must be > 0")
+        if not (0 < self.repetition_duration_s < np.inf):
+            raise ParameterError(
+                f"repetition_duration_s must be finite and > 0, got {self.repetition_duration_s}"
+            )
         if self.session_tag not in ("subject", "day"):
             raise ParameterError(f"unknown session_tag {self.session_tag!r}")
         if not (0.0 <= self.left_unhealthy_fraction <= 1.0):
@@ -269,6 +271,12 @@ def validate_world(world: WorldSpec) -> None:
     """Check every WorldSpec invariant, raising on the first violation."""
     if world.sample_rate <= 0:
         raise ParameterError("sample_rate must be > 0")
+    # _render_session cuts round(duration * fs) samples per repetition
+    if not (0.5 < world.cohort.repetition_duration_s * world.sample_rate < np.inf):
+        raise ParameterError(
+            f"repetition_duration_s={world.cohort.repetition_duration_s} at {world.sample_rate} Hz "
+            f"does not round to a finite, nonzero sample count"
+        )
     if world.seed < 0:
         raise ParameterError("seed must be >= 0")
     names = world.source_names

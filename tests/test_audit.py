@@ -872,6 +872,35 @@ class TestDistinctDrawsScoredOnce:
         # the observed assignment plus at most C(5, 2) shuffled ones
         assert len(calls) <= 1 + comb(5, 2)
 
+    def test_no_draw_reaches_pmap_or_loso_cv(self, monkeypatch):
+        # at the default thread setting only the full-table, stratum and
+        # observed fits go through loso_cv, and no analysis starts a pool
+        monkeypatch.delenv("VIBROAUDIT_THREADS", raising=False)
+        calls = {"pmap": 0, "loso_cv": 0}
+
+        def counting(name):
+            real = getattr(audit, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(audit, name, counting(name))
+        cond = condition_on_covariate(
+            device_shortcut_table(n_subjects=6), "device", control_repeats=30, seed=4
+        )
+        assert calls == {"pmap": 0, "loso_cv": 1 + len(cond.stratum_cv)}
+        incremental_mixing_curve(
+            device_shortcut_table(n_subjects=4), "device", "DL", "DR", counts=[2, 4], repeats=4
+        )
+        rotation_analysis(rotated_pair_table(n_subjects=6, reps=4), "side", [0.0, 45.0])
+        assert calls == {"pmap": 0, "loso_cv": 1 + len(cond.stratum_cv)}
+        counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=30, seed=4)
+        assert calls == {"pmap": 0, "loso_cv": 2 + len(cond.stratum_cv)}
+
     def test_thread_count_does_not_change_any_draw(self, monkeypatch):
         def all_draws():
             cond = condition_on_covariate(

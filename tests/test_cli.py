@@ -66,6 +66,23 @@ class TestSynth:
         assert rc == EXIT_ERROR
         assert "n_subjects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration, message", [
+        ("nan", "must be finite and > 0"),
+        ("inf", "must be finite and > 0"),
+        # 1 ns at 100 kHz rounds to a repetition of no samples; 1e308 s overflows
+        ("1e-9", "does not round to a finite, nonzero sample count"),
+        ("1e308", "does not round to a finite, nonzero sample count"),
+    ])
+    def test_degenerate_duration_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                              duration, message):
+        out = tmp_path / "d"
+        rc = run("synth", "--scenario", "clean", "--subjects", "2",
+                 "--duration", duration, "--out", str(out))
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestFeatures:
     def test_row_count_and_rerun_bytes(self, tone_dataset, tmp_path):
@@ -334,6 +351,9 @@ class TestErrorPaths:
             ("features", {"taps": 10**20}, "taps must be an odd integer >= 3"),
             ("features", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 10**20}}, "n_mels="),
             ("band-scan", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "n_mels": 10**20}}, "n_mels="),
+            ("features", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "frame_ms": 1e308}}, "frame_ms="),
+            ("band-scan", {"mfcc": {"fmin": 250.0, "fmax": 6000.0, "frame_ms": 1e20}},
+             "segment too short"),
         ],
     )
     def test_huge_well_typed_config_values_exit_one(self, tone_dataset, tmp_path, capsys,

@@ -88,9 +88,7 @@ class TestSignal:
         x = np.random.default_rng(0).normal(size=(100, 2))
         s = Signal(x, 1000.0)
         assert s.channels == 2
-        ch1 = s.channel(1)
-        assert ch1.channels == 1
-        np.testing.assert_array_equal(ch1.samples, x[:, 1])
+        np.testing.assert_array_equal(s.samples, x)
 
     def test_column_vector_squeezed_to_mono(self):
         s = Signal(np.ones((10, 1)), 100.0)
@@ -107,10 +105,6 @@ class TestSignal:
     def test_three_channels_rejected(self):
         with pytest.raises(ParameterError):
             Signal(np.zeros((10, 3)), 100.0)
-
-    def test_channel_out_of_range(self):
-        with pytest.raises(ParameterError):
-            sine(100).channel(1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vibroaudit import _parallel
+from vibroaudit import _parallel, learn
 from vibroaudit.dataset import FeatureTable, FeatureVector
 from vibroaudit.errors import ParameterError
 from vibroaudit.learn import (
@@ -13,6 +13,7 @@ from vibroaudit.learn import (
     _newton_steps,
     _prepare,
     fit_linear,
+    loso_accuracies,
     loso_cv,
     pca2,
     predict,
@@ -381,16 +382,16 @@ class TestStackedKernel:
         easy = np.random.default_rng(1).normal(size=hard.shape)
         easy[:, 0] += 2.0 * (labels == "b")
         stacked = _fit_prepared(
-            [_prepare(hard, labels, None), _prepare(easy, labels, None)], 0.0, 100, 1e-8
+            [_prepare(hard, labels), _prepare(easy, labels)], 0.0, 100, 1e-8
         )
-        for X, model in zip((hard, easy), stacked):
+        for X, (stacked_theta, _, stacked_iter) in zip((hard, easy), stacked):
             alone = fit_linear(X, labels, l2=0.0, max_iter=100)
-            assert (model.weights, model.bias, model.n_iter) == (
-                alone.weights, alone.bias, alone.n_iter
-            )
+            np.testing.assert_array_equal(
+                stacked_theta, np.append(alone.weight_vector(), alone.bias))
+            assert stacked_iter == alone.n_iter
             theta, _, n_iter = reference_fit(X, labels, l2=0.0, max_iter=100)
-            np.testing.assert_array_equal(np.append(model.weight_vector(), model.bias), theta)
-            assert n_iter == model.n_iter
+            np.testing.assert_array_equal(stacked_theta, theta)
+            assert n_iter == stacked_iter
 
     def test_singular_system_steps_along_the_gradient(self):
         hess = np.stack([np.eye(2) * 2.0, np.zeros((2, 2)), np.eye(2) * 4.0])
@@ -412,6 +413,96 @@ class TestStackedKernel:
         accs = _parallel.pmap(lambda t: loso_cv(t).mean_repetition_accuracy, [table, table])
         assert len(started) == 1
         assert accs[0] == accs[1] == loso_cv(table).mean_repetition_accuracy
+
+
+# ---------------------------------------------------------------------------
+# loso_accuracies: the LOSO core on many problems
+
+
+def random_problem(rng, i):
+    """Ragged groups; every third problem leaves one fold single-class,
+    every fourth has a column constant outside one group, and a few are
+    undefined (one group, or one class)."""
+    n_groups = int(rng.integers(3, 7))
+    sizes = rng.integers(1, 6, size=n_groups)
+    groups = np.repeat([f"g{j}" for j in range(n_groups)], sizes).astype(object)
+    targets = np.where(rng.random(len(groups)) < 0.5, "Healthy", "Unhealthy").astype(object)
+    targets[groups == "g0"] = "Healthy"
+    targets[groups == "g1"] = "Unhealthy"
+    if i % 3 == 0:
+        # g1 alone is Unhealthy: holding it out leaves a single-class training set
+        targets[groups != "g1"] = "Healthy"
+    if i % 11 == 5:
+        targets[:] = "Healthy"
+    if i % 13 == 7:
+        groups[:] = "g0"
+    X = rng.normal(size=(len(groups), 4))
+    X[:, 0] += 1.2 * (targets == "Unhealthy")
+    if i % 4 == 1:
+        X[groups != "g2", 3] = 0.5
+    return X, groups, targets
+
+
+def loso_or_nan(problem, **kw):
+    X, groups, targets = problem
+    if len(set(groups.tolist())) < 2 or len(set(targets.tolist())) < 2:
+        return np.nan, None
+    cv = loso_cv(make_table(X, groups, targets), **kw)
+    return cv.mean_repetition_accuracy, cv
+
+
+class TestLosoAccuracies:
+    @pytest.mark.parametrize("kw", [{}, {"max_iter": 3}, {"l2": 0.0}])
+    def test_each_accuracy_equals_loso_cv_across_blocks(self, monkeypatch, kw):
+        rng = np.random.default_rng(11)
+        problems = [random_problem(rng, i) for i in range(40)]
+        expected = [loso_or_nan(p, **kw) for p in problems]
+        cvs = [cv for _, cv in expected if cv is not None]
+        # the cases the core must carry through every block
+        assert any(cv.skipped_folds for cv in cvs)
+        assert any(cv.dropped_features for cv in cvs)
+        assert any(np.isnan(a) for a, _ in expected)
+        if kw.get("max_iter") == 3:
+            assert any(not m.converged for cv in cvs for m in cv.fold_models.values())
+
+        fit_calls = []
+        real_fit = learn._fit_prepared
+
+        def counting_fit(*args):
+            fit_calls.append(1)
+            return real_fit(*args)
+
+        monkeypatch.setattr(learn, "_fit_prepared", counting_fit)
+        monkeypatch.setattr(learn, "_BLOCK_BYTES", 8_000)
+        got = loso_accuracies(iter(problems), **kw)
+        assert len(fit_calls) > 5
+        want = np.array([a for a, _ in expected], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+
+    def test_problems_are_read_as_the_blocks_need_them(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        problems = [random_problem(rng, i) for i in range(1, 30, 2)]
+        read = []
+
+        def lazily():
+            for p in problems:
+                read.append(1)
+                yield p
+
+        seen_at_fit = []
+        real_fit = learn._fit_prepared
+        monkeypatch.setattr(learn, "_fit_prepared",
+                            lambda *args: seen_at_fit.append(len(read)) or real_fit(*args))
+        monkeypatch.setattr(learn, "_BLOCK_BYTES", 8_000)
+        loso_accuracies(lazily())
+        assert seen_at_fit[0] < len(problems)
+
+    def test_more_than_two_classes_raise(self):
+        X = np.random.default_rng(0).normal(size=(6, 2))
+        groups = np.array(["a", "a", "b", "b", "c", "c"], dtype=object)
+        targets = np.array(["x", "x", "y", "y", "z", "z"], dtype=object)
+        with pytest.raises(ParameterError, match="exactly 2 classes"):
+            loso_accuracies([(X, groups, targets)])
 
 
 # ---------------------------------------------------------------------------
