@@ -189,6 +189,20 @@ class ToneDetection:
 # frames per block of the running median: bounds its (frames, bins, window)
 # temporary to a few MB
 _MEDIAN_BLOCK_FRAMES = 16
+# frames per block of the rank count: keeps a block's rows in cache across
+# the window's offsets
+_COUNT_BLOCK_FRAMES = 32
+
+
+def _window_medians(padded: np.ndarray, w: int) -> np.ndarray:
+    """Median of every window of ``w`` (odd) consecutive columns of each row."""
+    half = w // 2
+    out = np.empty((len(padded), padded.shape[1] - w + 1), dtype=padded.dtype)
+    for start in range(0, len(padded), _MEDIAN_BLOCK_FRAMES):
+        block = slice(start, start + _MEDIAN_BLOCK_FRAMES)
+        windows = sliding_window_view(padded[block], w, axis=1)
+        out[block] = np.partition(windows, half, axis=-1)[..., half]
+    return out
 
 
 def _running_median(power: np.ndarray, w: int) -> np.ndarray:
@@ -196,16 +210,54 @@ def _running_median(power: np.ndarray, w: int) -> np.ndarray:
 
     Rows are extended by their edge value, so this equals
     ``scipy.ndimage.median_filter(power, size=(1, w), mode="nearest")``
-    exactly: an odd window's median is one of its elements.
+    exactly: an odd window's median is one of its elements.  The detector
+    runs the capped, rank-counted path below; this uncapped form is the
+    reference the tests hold it to.
     """
     half = w // 2
-    padded = np.pad(power, ((0, 0), (half, half)), mode="edge")
-    out = np.empty_like(power)
-    for start in range(0, len(power), _MEDIAN_BLOCK_FRAMES):
-        block = slice(start, start + _MEDIAN_BLOCK_FRAMES)
-        windows = sliding_window_view(padded[block], w, axis=1)
-        out[block] = np.partition(windows, half, axis=-1)[..., half]
-    return out
+    return _window_medians(np.pad(power, ((0, 0), (half, half)), mode="edge"), w)
+
+
+def _edge_padded(power: np.ndarray, w: int) -> np.ndarray:
+    """``power`` with each row extended by its edge value, for windows of
+    ``w`` (odd) bins centred on each bin, capped at ``2 * n_bins - 1`` bins.
+
+    Bin ``b``'s window is ``padded[:, b : b + v]``, ``v = padded.shape[1] -
+    n_bins + 1``.  Its median is that of the uncapped window.  A median
+    ranks at most ``w // 2`` values strictly below it (NaN ranking last)
+    and at most ``w // 2`` strictly above.  Once ``w >= 2 * n_bins + 1``,
+    a window holds every bin plus at least one more copy of each edge
+    value.  Dropping one copy of each then leaves at most ``w // 2 - 1``
+    values on either side: a side that loses no copy holds interior bins
+    only, and there are ``n_bins - 2`` of those.
+    """
+    half = min(w, 2 * power.shape[1] - 1) // 2
+    return np.pad(power, ((0, 0), (half, half)), mode="edge")
+
+
+def _above_window_median(padded: np.ndarray, power: np.ndarray, threshold: float) -> np.ndarray:
+    """``power > median * threshold`` for each bin's window in ``padded``
+    (see :func:`_edge_padded`), without computing the median.
+
+    Rounding a product by ``threshold > 0`` is monotone, so the window
+    values ``v`` with ``fl(v * threshold) < p`` are its smallest ones, and
+    ``p > fl(median * threshold)`` exactly when more than half of the
+    window's values satisfy it.  NaN counts as a value that never does,
+    which is where the median ranks it.
+    """
+    n_bins = power.shape[1]
+    w = padded.shape[1] - n_bins + 1
+    above = np.empty(power.shape, dtype=bool)
+    for start in range(0, len(power), _COUNT_BLOCK_FRAMES):
+        block = slice(start, start + _COUNT_BLOCK_FRAMES)
+        p, scaled = power[block], padded[block] * threshold
+        count = np.zeros(p.shape, dtype=np.min_scalar_type(w))
+        hit = np.empty(p.shape, dtype=bool)
+        for j in range(w):
+            np.less(scaled[:, j : j + n_bins], p, out=hit)
+            count += hit.view(np.uint8)
+        np.greater(count, w // 2, out=above[block])
+    return above
 
 
 def detect_persistent_tones(
@@ -231,8 +283,8 @@ def detect_persistent_tones(
         raise ParameterError(f"persistence_min must be in (0, 1], got {persistence_min}")
     if prominence_min_db <= 0:
         raise ParameterError(f"prominence_min_db must be > 0, got {prominence_min_db}")
-    if median_window_hz <= 0:
-        raise ParameterError(f"median_window_hz must be > 0, got {median_window_hz}")
+    if not 0 < median_window_hz < np.inf:
+        raise ParameterError(f"median_window_hz must be finite and > 0, got {median_window_hz}")
     if inactivity_mask is not None:
         inactivity_mask = np.asarray(inactivity_mask, dtype=bool)
         if inactivity_mask.shape != (spec.n_frames,):
@@ -244,10 +296,16 @@ def detect_persistent_tones(
 
     power = spec.magnitudes**2
     df = float(spec.bin_freqs[1] - spec.bin_freqs[0])
-    w = max(3, int(round(median_window_hz / df)) | 1)
-    local_median = _running_median(power, w)
+    window_bins = median_window_hz / df
+    if not window_bins < 2.0**63:
+        raise ParameterError(
+            f"median_window_hz {median_window_hz} spans more than 2**63 bins of {df} Hz"
+        )
+    w = max(3, int(round(window_bins)) | 1)
+    padded = _edge_padded(power, w)
+    w = padded.shape[1] - spec.n_bins + 1  # the capped window
     threshold = 10.0 ** (prominence_min_db / 10.0)
-    above = power > local_median * threshold
+    above = _above_window_median(padded, power, threshold)
 
     per_bin = above.mean(axis=0)
     flagged = per_bin >= persistence_min
@@ -266,11 +324,12 @@ def detect_persistent_tones(
         weights = power[:, members].mean(axis=0)
         center = float(np.sum(spec.bin_freqs[members] * weights) / np.sum(weights))
         hit_frames = above[:, members].any(axis=1)
+        local_median = _window_medians(padded[:, b : b1 + w], w)
         # ratio of the loudest member bin to its local median, per frame
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(
-                local_median[:, members] > 0,
-                power[:, members] / np.maximum(local_median[:, members], 1e-300),
+                local_median > 0,
+                power[:, members] / np.maximum(local_median, 1e-300),
                 np.where(power[:, members] > 0, np.inf, 1.0),
             ).max(axis=1)
         prominence_db = float(10.0 * np.log10(np.median(ratio[hit_frames])))
@@ -833,7 +892,10 @@ class RelabelResult:
     ``null_accuracies`` holds one accuracy per permutation of the
     counterfactual class assignment (same class balance, assignment
     shuffled across the counterfactual subjects); ``inflation_delta`` is
-    observed accuracy minus the null mean.
+    observed accuracy minus the null mean.  ``null_p_value`` is
+    (1 + #{defined null accuracies >= observed}) / (1 + #defined), after
+    Phipson & Smyth (SAGMB 2010), and NaN when no null accuracy or the
+    observed one is undefined.
     """
 
     cv: CvResult
@@ -842,6 +904,7 @@ class RelabelResult:
     null_mean: float
     null_std: float
     inflation_delta: float
+    null_p_value: float
 
 
 def counterfactual_relabel(
@@ -886,11 +949,17 @@ def counterfactual_relabel(
 
     null = _draw_accuracies([draw(i) for i in range(n_permutations)], relabeled)
     null_mean = float(null.mean()) if len(null) else float("nan")
+    accuracy = cv.mean_repetition_accuracy
+    defined = null[~np.isnan(null)]
+    p_value = float("nan")
+    if len(defined) and not np.isnan(accuracy):
+        p_value = (1 + int(np.sum(defined >= accuracy))) / (1 + len(defined))
     return RelabelResult(
         cv=cv,
-        accuracy=cv.mean_repetition_accuracy,
+        accuracy=accuracy,
         null_accuracies=null,
         null_mean=null_mean,
         null_std=float(null.std()) if len(null) else float("nan"),
-        inflation_delta=cv.mean_repetition_accuracy - null_mean,
+        inflation_delta=accuracy - null_mean,
+        null_p_value=p_value,
     )

@@ -432,6 +432,7 @@ def counterfactual_section(
             "n_permutations": int(len(res.null_accuracies)),
             "mean": res.null_mean,
             "std": res.null_std,
+            "p_value": res.null_p_value,
         },
         "inflation_delta": res.inflation_delta,
         "min_delta": min_delta,

@@ -20,8 +20,11 @@ from tablegen import (
     uniform_signal_table,
 )
 from vibroaudit.audit import (
+    _above_window_median,
+    _edge_padded,
     _exact_association_p,
     _running_median,
+    _window_medians,
     band_scan,
     condition_on_covariate,
     counterfactual_relabel,
@@ -183,6 +186,39 @@ class TestRunningMedian:
         )
 
 
+class TestAboveWindowMedian:
+    @given(
+        data=st.data(),
+        n_frames=st.sampled_from([1, 16, 33, 40]),
+        n_bins=st.integers(1, 40),
+        half=st.integers(1, 30),
+        wide=st.booleans(),
+        threshold=st.sampled_from([10.0**0.6, 1.0 + 2.0**-52, 2.0, 1e300])
+        | st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_count_equals_thresholded_running_median(
+        self, data, n_frames, n_bins, half, wide, threshold
+    ):
+        # windows of 3..61 bins, or wider than twice the row, whose edge
+        # copies the capped padding drops
+        w = 2 * (n_bins + half) + 1 if wide else 2 * half + 1
+        values = power_values | st.sampled_from([np.nan, np.inf])
+        cells = data.draw(st.lists(values, min_size=n_frames * n_bins, max_size=n_frames * n_bins))
+        power = np.array(cells, dtype=np.float64).reshape(n_frames, n_bins)
+        zero_rows = data.draw(st.lists(st.integers(0, n_frames - 1), max_size=3))
+        power[zero_rows] = 0.0
+        median = _running_median(power, w)
+        padded = _edge_padded(power, w)
+        assert padded.shape[1] == n_bins + 2 * (min(w, 2 * n_bins - 1) // 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = power > median * threshold
+            above = _above_window_median(padded, power, threshold)
+        np.testing.assert_array_equal(above, expected)
+        capped = padded.shape[1] - n_bins + 1
+        np.testing.assert_array_equal(_window_medians(padded, capped), median)
+
+
 class TestDetectPersistentTones:
     def test_injected_tone_found_within_one_bin(self):
         spec = tone_spec([(33_000.0, 0.05)])
@@ -247,6 +283,14 @@ class TestDetectPersistentTones:
         dets = detect_persistent_tones(tone_spec([(33_000.0, 0.05)]))
         assert dets[0].present_during_inactivity is None
 
+    def test_window_wider_than_spectrum_is_capped_exactly(self):
+        spec = tone_spec([(33_000.0, 0.05)])
+        df = spec.bin_freqs[1] - spec.bin_freqs[0]
+        capped = detect_persistent_tones(spec, median_window_hz=(2 * spec.n_bins - 1) * df)
+        assert len(capped) == 1
+        # a window of 2e10 bins, whose uncapped edge padding would not fit in memory
+        assert detect_persistent_tones(spec, median_window_hz=1e12) == capped
+
     def test_too_few_frames_raise(self):
         spec = tone_spec([], duration=0.2)
         with pytest.raises(ParameterError, match=">= 20 frames"):
@@ -260,8 +304,9 @@ class TestDetectPersistentTones:
             detect_persistent_tones(spec, persistence_min=1.2)
         with pytest.raises(ParameterError, match="prominence_min_db"):
             detect_persistent_tones(spec, prominence_min_db=0.0)
-        with pytest.raises(ParameterError, match="median_window_hz"):
-            detect_persistent_tones(spec, median_window_hz=0.0)
+        for bad in (0.0, np.nan, np.inf, 1e300):
+            with pytest.raises(ParameterError, match="median_window_hz"):
+                detect_persistent_tones(spec, median_window_hz=bad)
         with pytest.raises(ParameterError, match="one flag per frame"):
             detect_persistent_tones(spec, inactivity_mask=np.ones(3, dtype=bool))
         with pytest.raises(ParameterError, match="selects no frames"):
@@ -731,6 +776,25 @@ class TestCounterfactualRelabel:
         c = counterfactual_relabel(table, relabel, n_permutations=12, seed=5)
         assert np.array_equal(a.null_accuracies, b.null_accuracies)
         assert not np.array_equal(a.null_accuracies, c.null_accuracies)
+
+    def test_p_value_equals_a_brute_force_count(self):
+        res = counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=40, seed=3)
+        at_least = sum(1 for a in res.null_accuracies if a >= res.accuracy)
+        assert res.null_p_value == (1 + at_least) / (1 + 40)
+
+    def test_p_value_counts_defined_draws_only(self, monkeypatch):
+        table = day_level_table()
+        res = counterfactual_relabel(table, DAY_RELABEL, n_permutations=0)
+        assert np.isnan(res.null_p_value)
+        acc = res.accuracy
+        null = np.array([np.nan, acc - 0.1, acc, acc + 0.05, np.nan, acc - 0.2])
+        monkeypatch.setattr(audit, "_draw_accuracies", lambda keys, build: null)
+        res = counterfactual_relabel(table, DAY_RELABEL, n_permutations=6)
+        # 4 defined draws, 2 of them at or above the observed accuracy
+        assert res.null_p_value == (1 + 2) / (1 + 4)
+        assert np.isnan(res.null_mean)
+        monkeypatch.setattr(audit, "_draw_accuracies", lambda keys, build: np.full(6, np.nan))
+        assert np.isnan(counterfactual_relabel(table, DAY_RELABEL, n_permutations=6).null_p_value)
 
     def test_missing_group_raises(self):
         table = day_level_table()

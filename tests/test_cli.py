@@ -252,7 +252,10 @@ class TestAuditSingleAnalyses:
         sec = read_report(out / "report.json")["sections"]["counterfactual"]
         assert sec["flags"][0].startswith("counterfactual-inflation")
         assert len(sec["relabel"]) == 5
-        assert (out / "counterfactual_null.csv").exists()
+        rows = (out / "counterfactual_null.csv").read_text().splitlines()[1:]
+        null = [float(row.split(",")[1]) for row in rows]
+        at_least = sum(1 for a in null if a >= sec["accuracy"])
+        assert sec["null"]["p_value"] == (1 + at_least) / (1 + 60)
 
     def test_counterfactual_relabel_file(self, tmp_path):
         csv_path = tmp_path / "day.csv"

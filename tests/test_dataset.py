@@ -15,6 +15,7 @@ from vibroaudit.dataset import (
     Manifest,
     SessionRecord,
     LABEL_FIELDS,
+    _aggregate,
     extract_features,
     extract_table,
     extract_tables,
@@ -349,6 +350,42 @@ def noise_segment(seed=0, n=60_000, fs=FS, extra=None):
     if extra is not None:
         x = x + extra
     return Signal(x, fs)
+
+
+class TestAggregate:
+    @given(
+        n_frames=st.integers(1, 10_000),
+        n_coeffs=st.integers(1, 20),
+        n_extra=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]),
+        decimals=st.sampled_from([None, 0, 2]),
+        aggregators=st.sampled_from([("mean",), ("std",), ("mean", "std"), ("std", "mean")]),
+        suffix=st.sampled_from(["", "_ch0", "_ch1"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_equals_per_series_reductions(
+        self, n_frames, n_coeffs, n_extra, seed, scale, decimals, aggregators, suffix
+    ):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(0.0, 1.0, (n_frames, n_coeffs))
+        if decimals is not None:  # ties and constant stretches
+            coeffs = np.round(coeffs, decimals)
+        coeffs *= scale
+        # strided column views, as extraction hands over its MFCCs
+        series = {f"mfcc{j:02d}": coeffs[:, j] for j in range(n_coeffs)}
+        for k in range(n_extra):
+            series[f"extra{k}"] = np.abs(rng.normal(0.0, scale, n_frames))
+        series["constant"] = np.full(n_frames, scale)
+        expected = {}
+        for name, values in series.items():
+            if "mean" in aggregators:
+                expected[f"{name}{suffix}_mean"] = float(np.mean(values))
+            if "std" in aggregators:
+                expected[f"{name}{suffix}_std"] = float(np.std(values))
+        out = _aggregate(series, aggregators, suffix)
+        assert list(out) == list(expected)
+        assert np.array(list(out.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
 class TestExtractFeatures:
