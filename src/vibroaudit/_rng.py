@@ -30,6 +30,8 @@ _KIND_OFFSETS = {
     "noise": 6_000_000,
     "misc": 7_000_000,
 }
+# indices per kind: one offset apart, so kinds never share an id
+STREAM_INDICES = 1_000_000
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -56,6 +58,6 @@ def substream_id(kind: str, index: int = 0) -> int:
         )
     if index < 0:
         raise ParameterError(f"stream index must be >= 0, got {index}")
-    if index >= 1_000_000:
+    if index >= STREAM_INDICES:
         raise ParameterError(f"stream index too large: {index}")
     return _KIND_OFFSETS[kind] + index

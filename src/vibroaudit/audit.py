@@ -32,7 +32,8 @@ from per-item counter-based streams, so parallel execution and repetition
 order cannot change any number.  The Monte-Carlo analyses (conditioning,
 mixing, rotation, counterfactual) draw first and score each distinct draw
 once, as plain arrays in stacked blocks, since a draw's accuracy is a pure
-function of what was drawn.
+function of what was drawn.  :func:`summarize_draws` reduces every
+resulting distribution, leaving undefined (NaN) draws out.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import pmap  # noqa: F401  unused here; perfbench/spans.py patches audit.pmap
-from ._rng import stream, substream_id
+from ._rng import STREAM_INDICES, stream, substream_id
 from .dataset import (
     FeatureConfig,
     FeatureTable,
@@ -205,19 +206,6 @@ def _window_medians(padded: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _running_median(power: np.ndarray, w: int) -> np.ndarray:
-    """Median of each row over a window of ``w`` (odd) bins centred on each bin.
-
-    Rows are extended by their edge value, so this equals
-    ``scipy.ndimage.median_filter(power, size=(1, w), mode="nearest")``
-    exactly: an odd window's median is one of its elements.  The detector
-    runs the capped, rank-counted path below; this uncapped form is the
-    reference the tests hold it to.
-    """
-    half = w // 2
-    return _window_medians(np.pad(power, ((0, 0), (half, half)), mode="edge"), w)
-
-
 def _edge_padded(power: np.ndarray, w: int) -> np.ndarray:
     """``power`` with each row extended by its edge value, for windows of
     ``w`` (odd) bins centred on each bin, capped at ``2 * n_bins - 1`` bins.
@@ -281,8 +269,14 @@ def detect_persistent_tones(
         )
     if not (0 < persistence_min <= 1):
         raise ParameterError(f"persistence_min must be in (0, 1], got {persistence_min}")
-    if prominence_min_db <= 0:
-        raise ParameterError(f"prominence_min_db must be > 0, got {prominence_min_db}")
+    try:
+        threshold = 10.0 ** (float(prominence_min_db) / 10.0)
+    except OverflowError:
+        threshold = np.inf
+    if not (prominence_min_db > 0 and threshold < np.inf):
+        raise ParameterError(
+            f"prominence_min_db must be > 0 with 10 ** (dB / 10) finite, got {prominence_min_db}"
+        )
     if not 0 < median_window_hz < np.inf:
         raise ParameterError(f"median_window_hz must be finite and > 0, got {median_window_hz}")
     if inactivity_mask is not None:
@@ -304,7 +298,6 @@ def detect_persistent_tones(
     w = max(3, int(round(window_bins)) | 1)
     padded = _edge_padded(power, w)
     w = padded.shape[1] - spec.n_bins + 1  # the capped window
-    threshold = 10.0 ** (prominence_min_db / 10.0)
     above = _above_window_median(padded, power, threshold)
 
     per_bin = above.mean(axis=0)
@@ -437,6 +430,46 @@ def _draw_accuracies(keys: Sequence, build) -> np.ndarray:
     return np.array([acc_of[key] for key in keys], dtype=np.float64)
 
 
+def _check_repeats(option: str, value: int, minimum: int, draws_per_repeat: int = 1) -> None:
+    """Reject a repeat count below ``minimum``, or one whose draws would
+    need more random streams than one kind has, before anything is drawn."""
+    if value < minimum:
+        raise ParameterError(f"{option} must be >= {minimum}, got {value}")
+    if value * draws_per_repeat > STREAM_INDICES:
+        raise ParameterError(
+            f"{option} {value} needs {value * draws_per_repeat} draws; "
+            f"at most {STREAM_INDICES} are available"
+        )
+
+
+@dataclass(frozen=True)
+class DrawSummary:
+    """A draw distribution reduced over its defined (non-NaN) draws.
+
+    ``lo`` and ``hi`` are the ``quantile`` and ``1 - quantile`` quantiles.
+    Every statistic is NaN when no draw is defined.
+    """
+
+    n_valid: int
+    n_invalid: int
+    mean: float
+    std: float
+    lo: float
+    hi: float
+
+
+def summarize_draws(samples: np.ndarray, quantile: float = 0.025) -> DrawSummary:
+    """The one reduction of a Monte-Carlo accuracy distribution: undefined
+    (NaN) draws are counted and left out of every statistic."""
+    samples = np.asarray(samples, dtype=np.float64)
+    valid = samples[~np.isnan(samples)]
+    n_invalid = len(samples) - len(valid)
+    if not len(valid):
+        return DrawSummary(0, n_invalid, *[float("nan")] * 4)
+    lo, hi = np.quantile(valid, [quantile, 1 - quantile]).tolist()
+    return DrawSummary(len(valid), n_invalid, float(valid.mean()), float(valid.std()), lo, hi)
+
+
 def _rows_in(table: FeatureTable, column: str, group_key: str, target: str):
     """``build`` of draws that keep the rows whose ``column`` is in the key."""
     values, groups, targets = (table.label(c) for c in (column, group_key, target))
@@ -495,17 +528,16 @@ class ConditioningResult:
     ``stratum_accuracy`` holds NaN for strata where the cross validation
     is undefined (single class or single group inside the stratum), with
     the reason in ``stratum_notes``.  A stratum is flagged when its
-    accuracy falls below the ``quantile`` quantile of the control
-    distribution.  ``flagged_for_review`` marks runs whose control mean
-    falls outside the span of the defined stratum accuracies, which
-    indicates the control is not comparable to the strata.
+    accuracy falls below the ``quantile`` quantile of the defined control
+    draws, so an undefined stratum never is.  ``flagged_for_review`` marks
+    runs whose control mean falls outside the span of the defined stratum
+    accuracies, which indicates the control is not comparable to the
+    strata.
     """
 
     covariate: str
     full_accuracy: float
-    full_cv: CvResult
     stratum_accuracy: dict[str, float]
-    stratum_cv: dict[str, CvResult]
     stratum_notes: dict[str, str]
     control_samples: np.ndarray
     control_mean: float
@@ -517,31 +549,6 @@ class ConditioningResult:
     n_control_invalid: int
     flagged: list[str]
     flagged_for_review: bool
-
-
-def flag_below_control(
-    stratum_accuracy: Mapping[str, float],
-    control_samples: np.ndarray,
-    quantile: float = 0.025,
-) -> tuple[list[str], float]:
-    """Strata whose accuracy falls below the control quantile.
-
-    Returns (flagged stratum names, cutoff).  NaN strata are never
-    flagged; they are undefined, not suspicious.
-    """
-    if not (0 < quantile < 0.5):
-        raise ParameterError(f"quantile must be in (0, 0.5), got {quantile}")
-    samples = np.asarray(control_samples, dtype=np.float64)
-    samples = samples[~np.isnan(samples)]
-    if len(samples) == 0:
-        raise ParameterError("control distribution has no valid samples")
-    cutoff = float(np.quantile(samples, quantile))
-    flagged = [
-        name
-        for name, acc in stratum_accuracy.items()
-        if not np.isnan(acc) and acc < cutoff
-    ]
-    return flagged, cutoff
 
 
 def condition_on_covariate(
@@ -561,7 +568,8 @@ def condition_on_covariate(
     validation on ``control_repeats`` random subsets of
     ``control_fraction`` of the groups, so the stratum is judged against
     what random shrinkage actually does on this dataset.  A subset drawn
-    more than once is scored once.
+    more than once is scored once, and so is the full table and each
+    stratum.
     """
     if covariate not in ("device", "side"):
         raise ParameterError(
@@ -571,36 +579,30 @@ def condition_on_covariate(
         raise ParameterError(
             f"control_fraction must be in (0, 1), got {control_fraction}"
         )
-    if control_repeats < 1:
-        raise ParameterError(f"control_repeats must be >= 1, got {control_repeats}")
+    _check_repeats("control_repeats", control_repeats, 1)
     if not (0 < quantile < 0.5):
         raise ParameterError(f"quantile must be in (0, 0.5), got {quantile}")
 
-    col = table.label(covariate)
+    col, groups, targets = (table.label(c) for c in (covariate, group_key, target))
     values = sorted(set(col.tolist()))
     if len(values) < 2:
         raise ParameterError(f"covariate {covariate!r} is constant; nothing to stratify")
 
-    full_cv = loso_cv(table, group_key=group_key, target=target)
-
-    stratum_accuracy: dict[str, float] = {}
-    stratum_cv: dict[str, CvResult] = {}
+    full_accuracy, *strata = _draw_accuracies(
+        [tuple(values)] + [(v,) for v in values], _rows_in(table, covariate, group_key, target)
+    ).tolist()
+    if np.isnan(full_accuracy):
+        raise ParameterError(f"the full table needs >= 2 {group_key} values and 2 {target} classes")
+    stratum_accuracy = {str(v): a for v, a in zip(values, strata)}
     stratum_notes: dict[str, str] = {}
     for v in values:
-        sub = table.select(col == v)
-        classes = set(sub.label(target).tolist())
+        classes = set(targets[col == v].tolist())
         if len(classes) < 2:
-            note = f"single-class stratum ({classes.pop()!r}); accuracy undefined"
-        elif len(set(sub.label(group_key).tolist())) < 2:
-            note = "single group in stratum; accuracy undefined"
-        else:
-            stratum_cv[str(v)] = loso_cv(sub, group_key=group_key, target=target)
-            stratum_accuracy[str(v)] = stratum_cv[str(v)].mean_repetition_accuracy
-            continue
-        stratum_accuracy[str(v)] = float("nan")
-        stratum_notes[str(v)] = note
+            stratum_notes[str(v)] = f"single-class stratum ({classes.pop()!r}); accuracy undefined"
+        elif len(set(groups[col == v].tolist())) < 2:
+            stratum_notes[str(v)] = "single group in stratum; accuracy undefined"
 
-    groups_all = sorted(set(table.label(group_key).tolist()))
+    groups_all = sorted(set(groups.tolist()))
     k = int(round(control_fraction * len(groups_all)))
     if k < 2:
         raise ParameterError(
@@ -616,33 +618,28 @@ def condition_on_covariate(
     samples = _draw_accuracies(
         [draw(i) for i in range(control_repeats)], _rows_in(table, group_key, group_key, target)
     )
-    valid = samples[~np.isnan(samples)]
-    if len(valid) == 0:
+    control = summarize_draws(samples, quantile)
+    if not control.n_valid:
         raise ParameterError(
             "every control subsample was single-class; control_fraction too small"
         )
-    flagged, cutoff = flag_below_control(stratum_accuracy, samples, quantile)
-
     defined = [a for a in stratum_accuracy.values() if not np.isnan(a)]
-    control_mean = float(valid.mean())
-    review = (not defined) or not (min(defined) <= control_mean <= max(defined))
+    review = (not defined) or not (min(defined) <= control.mean <= max(defined))
 
     return ConditioningResult(
         covariate=covariate,
-        full_accuracy=full_cv.mean_repetition_accuracy,
-        full_cv=full_cv,
+        full_accuracy=full_accuracy,
         stratum_accuracy=stratum_accuracy,
-        stratum_cv=stratum_cv,
         stratum_notes=stratum_notes,
         control_samples=samples,
-        control_mean=control_mean,
-        control_std=float(valid.std()),
-        control_cutoff=cutoff,
+        control_mean=control.mean,
+        control_std=control.std,
+        control_cutoff=control.lo,
         quantile=quantile,
         control_fraction=control_fraction,
         n_control_repeats=control_repeats,
-        n_control_invalid=int(np.isnan(samples).sum()),
-        flagged=flagged,
+        n_control_invalid=control.n_invalid,
+        flagged=[name for name, acc in stratum_accuracy.items() if acc < control.lo],
         flagged_for_review=bool(review),
     )
 
@@ -691,8 +688,6 @@ def incremental_mixing_curve(
     distinct subset, the full pool included, is scored once, which keeps
     the endpoint (k = full stratum, a single possible subset) cheap.
     """
-    if repeats < 1:
-        raise ParameterError(f"repeats must be >= 1, got {repeats}")
     col = table.label(covariate)
     sess = table.label("session_id")
     base_sessions = sorted(set(sess[col == base_value].tolist()))
@@ -717,6 +712,7 @@ def incremental_mixing_curve(
             raise ParameterError(
                 f"count {k} outside 1..{len(added_sessions)} added sessions"
             )
+    _check_repeats("repeats", repeats, 1, 2 * len(counts))
 
     def draw(n: int) -> tuple[str, ...]:
         # stream 2m draws the m-th stratified subset, 2m + 1 its reference
@@ -891,7 +887,8 @@ class RelabelResult:
 
     ``null_accuracies`` holds one accuracy per permutation of the
     counterfactual class assignment (same class balance, assignment
-    shuffled across the counterfactual subjects); ``inflation_delta`` is
+    shuffled across the counterfactual subjects); ``null_mean`` and
+    ``null_std`` run over its defined draws, and ``inflation_delta`` is
     observed accuracy minus the null mean.  ``null_p_value`` is
     (1 + #{defined null accuracies >= observed}) / (1 + #defined), after
     Phipson & Smyth (SAGMB 2010), and NaN when no null accuracy or the
@@ -926,8 +923,7 @@ def counterfactual_relabel(
     what the specific assignment adds over any assignment.  Each distinct
     shuffled assignment is scored once.
     """
-    if n_permutations < 0:
-        raise ParameterError(f"n_permutations must be >= 0, got {n_permutations}")
+    _check_repeats("n_permutations", n_permutations, 0)
     group_values, group_index = np.unique(table.label(group_key), return_inverse=True)
     missing = sorted(set(group_values) - set(relabel))
     if missing:
@@ -948,18 +944,17 @@ def counterfactual_relabel(
         return tuple(balance[rng.permutation(len(balance))])
 
     null = _draw_accuracies([draw(i) for i in range(n_permutations)], relabeled)
-    null_mean = float(null.mean()) if len(null) else float("nan")
+    summary = summarize_draws(null)
     accuracy = cv.mean_repetition_accuracy
-    defined = null[~np.isnan(null)]
     p_value = float("nan")
-    if len(defined) and not np.isnan(accuracy):
-        p_value = (1 + int(np.sum(defined >= accuracy))) / (1 + len(defined))
+    if summary.n_valid and not np.isnan(accuracy):
+        p_value = (1 + int(np.sum(null >= accuracy))) / (1 + summary.n_valid)
     return RelabelResult(
         cv=cv,
         accuracy=accuracy,
         null_accuracies=null,
-        null_mean=null_mean,
-        null_std=float(null.std()) if len(null) else float("nan"),
-        inflation_delta=accuracy - null_mean,
+        null_mean=summary.mean,
+        null_std=summary.std,
+        inflation_delta=accuracy - summary.mean,
         null_p_value=p_value,
     )

@@ -53,9 +53,8 @@ from .report import (
     counterfactual_section,
     covariate_section,
     emit_band_scan_csv,
-    emit_control_csv,
+    emit_draws_csv,
     emit_mixing_csv,
-    emit_null_csv,
     emit_rotation_csv,
     emit_tones_csv,
     file_digest,
@@ -477,7 +476,7 @@ def cmd_audit(args) -> int:
             quantile=args.quantile,
             seed=args.seed,
         )
-        emit_control_csv(out_dir / "conditioning_control.csv", res)
+        emit_draws_csv(out_dir / "conditioning_control.csv", "sample_index", res.control_samples)
         return conditioning_section(res, args.seed)
 
     run("conditioning", "condition", do_condition)
@@ -539,7 +538,7 @@ def cmd_audit(args) -> int:
             n_permutations=_repeats(args, "counterfactual", suite),
             seed=args.seed,
         )
-        emit_null_csv(out_dir / "counterfactual_null.csv", res)
+        emit_draws_csv(out_dir / "counterfactual_null.csv", "permutation_index", res.null_accuracies)
         return counterfactual_section(res, args.seed, spec)
 
     run("counterfactual", "counterfactual", do_counterfactual)

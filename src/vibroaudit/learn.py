@@ -497,15 +497,3 @@ def pca2(points: np.ndarray) -> Pca2Result:
         degenerate=bool(gap < 1e-9),
     )
 
-
-def principal_angle_degrees(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two principal axes, reduced to [0, 90] degrees.
-
-    Principal axes are sign-ambiguous, so the angle uses |cos|.
-    """
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ParameterError("cannot measure the angle of a zero vector")
-    c = abs(float(np.dot(u, v)) / (nu * nv))
-    return float(np.degrees(np.arccos(min(1.0, c))))

@@ -35,6 +35,7 @@ from .audit import (
     RelabelResult,
     RotationResult,
     ToneDetection,
+    summarize_draws,
 )
 from .errors import FormatError, ParameterError
 from .learn import CvResult
@@ -206,22 +207,13 @@ def write_series_csv(path, header: Sequence[str], rows) -> None:
 
 
 def distribution_summary(samples: np.ndarray) -> dict:
-    """Mean, spread, and central 95% interval of a sample set, NaN-aware."""
-    samples = np.asarray(samples, dtype=np.float64)
-    valid = samples[~np.isnan(samples)]
-    if len(valid) == 0:
-        return {
-            "mean": None, "std": None, "q025": None, "q975": None,
-            "n_valid": 0, "n_invalid": int(len(samples)),
-        }
-    return {
-        "mean": float(valid.mean()),
-        "std": float(valid.std()),
-        "q025": float(np.quantile(valid, 0.025)),
-        "q975": float(np.quantile(valid, 0.975)),
-        "n_valid": int(len(valid)),
-        "n_invalid": int(len(samples) - len(valid)),
-    }
+    """Mean, spread, and central 95% interval of the defined draws; the
+    statistics are null when no draw is defined."""
+    s = summarize_draws(samples, 0.025)
+    return jsonable({
+        "mean": s.mean, "std": s.std, "q025": s.lo, "q975": s.hi,
+        "n_valid": s.n_valid, "n_invalid": s.n_invalid,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +405,8 @@ def counterfactual_section(
     min_accuracy: float = COUNTERFACTUAL_FLAG_ACCURACY,
 ) -> dict:
     flags = []
-    has_null = len(res.null_accuracies) > 0
-    if (
-        has_null
-        and res.accuracy >= min_accuracy
-        and res.inflation_delta >= min_delta
-    ):
+    # an undefined null (no defined draw) leaves the delta NaN, which never flags
+    if res.accuracy >= min_accuracy and res.inflation_delta >= min_delta:
         flags.append(
             f"counterfactual-inflation: regrouping scores {res.accuracy:.3f}, "
             f"{res.inflation_delta:.3f} above its permutation null"
@@ -478,11 +466,6 @@ def emit_tones_csv(path, detections: Mapping[str, Sequence[ToneDetection]]) -> N
     )
 
 
-def emit_control_csv(path, res: ConditioningResult) -> None:
-    rows = [[i, a] for i, a in enumerate(res.control_samples)]
-    write_series_csv(path, ["sample_index", "accuracy"], rows)
-
-
 def emit_mixing_csv(path, res: MixingCurveResult) -> None:
     header = ["n_added", "total_sessions"]
     for kind in ("stratified", "reference"):
@@ -504,6 +487,7 @@ def emit_rotation_csv(path, res: RotationResult) -> None:
     write_series_csv(path, ["theta_degrees", "accuracy"], rows)
 
 
-def emit_null_csv(path, res: RelabelResult) -> None:
-    rows = [[i, a] for i, a in enumerate(res.null_accuracies)]
-    write_series_csv(path, ["permutation_index", "accuracy"], rows)
+def emit_draws_csv(path, index_name: str, draws: np.ndarray) -> None:
+    """One Monte-Carlo draw per row: its index and its accuracy, empty
+    where undefined."""
+    write_series_csv(path, [index_name, "accuracy"], enumerate(draws))

@@ -1,5 +1,6 @@
 """Tests for the bias-detection battery."""
 
+import warnings
 from math import comb
 
 import numpy as np
@@ -23,16 +24,15 @@ from vibroaudit.audit import (
     _above_window_median,
     _edge_padded,
     _exact_association_p,
-    _running_median,
     _window_medians,
     band_scan,
     condition_on_covariate,
     counterfactual_relabel,
     covariate_predictability,
     detect_persistent_tones,
-    flag_below_control,
     incremental_mixing_curve,
     rotation_analysis,
+    summarize_draws,
     tone_prevalence_by_label,
 )
 from vibroaudit._rng import stream, substream_id
@@ -159,6 +159,14 @@ class TestBandScan:
 power_values = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0, 1.0, 3.0, 1e300]) | st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def _running_median(power, w):
+    """Median of each row over a window of ``w`` (odd) bins centred on each
+    bin, rows extended by their edge value: the uncapped reference the
+    detector's capped, rank-counted path is held to."""
+    half = w // 2
+    return _window_medians(np.pad(power, ((0, 0), (half, half)), mode="edge"), w)
 
 
 class TestRunningMedian:
@@ -302,8 +310,10 @@ class TestDetectPersistentTones:
             detect_persistent_tones(spec, persistence_min=0.0)
         with pytest.raises(ParameterError, match="persistence_min"):
             detect_persistent_tones(spec, persistence_min=1.2)
-        with pytest.raises(ParameterError, match="prominence_min_db"):
-            detect_persistent_tones(spec, prominence_min_db=0.0)
+        # 4000 dB would overflow 10 ** (dB / 10); NaN and inf pass a plain > 0 test
+        for bad in (0.0, np.nan, np.inf, 4000.0):
+            with pytest.raises(ParameterError, match="prominence_min_db"):
+                detect_persistent_tones(spec, prominence_min_db=bad)
         for bad in (0.0, np.nan, np.inf, 1e300):
             with pytest.raises(ParameterError, match="median_window_hz"):
                 detect_persistent_tones(spec, median_window_hz=bad)
@@ -426,28 +436,47 @@ class TestCovariatePredictability:
 # condition_on_covariate
 
 
-class TestFlagBelowControl:
-    def test_reported_stratum_collapse_is_flagged(self):
-        # full-data 75% with one stratum at 50% against a control
-        # distribution of 67.15% +/- 7.4% flags exactly that stratum
+class TestSummarizeDraws:
+    def test_equals_numpy_over_the_defined_draws(self):
         rng = np.random.default_rng(0)
-        control = rng.normal(0.6715, 0.074, 10_000)
-        flagged, cutoff = flag_below_control({"DL": 0.75, "DR": 0.50}, control)
-        assert flagged == ["DR"]
-        assert 0.51 < cutoff < 0.54
+        for n in (1, 2, 7, 100, 1001):
+            samples = rng.random(n)
+            samples[rng.random(n) < 0.3] = np.nan
+            valid = samples[~np.isnan(samples)]
+            if not len(valid):
+                continue
+            for q in (0.025, 0.1, 0.25, 0.4):
+                s = summarize_draws(samples, q)
+                assert (s.n_valid, s.n_invalid) == (len(valid), n - len(valid))
+                assert s.mean == np.mean(valid) and s.std == np.std(valid)
+                assert s.lo == np.quantile(valid, q)
+                assert s.hi == np.quantile(valid, 1 - q)
 
-    def test_nan_strata_are_never_flagged(self):
-        control = np.linspace(0.4, 0.8, 100)
-        flagged, _ = flag_below_control(
-            {"DL": float("nan"), "DR": 0.2}, control
-        )
-        assert flagged == ["DR"]
+    @pytest.mark.parametrize("samples", [np.array([]), np.full(4, np.nan)])
+    def test_no_defined_draw_gives_nan_without_warning(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize_draws(samples)
+        assert (s.n_valid, s.n_invalid) == (0, len(samples))
+        assert all(np.isnan(v) for v in (s.mean, s.std, s.lo, s.hi))
 
-    def test_validation(self):
-        with pytest.raises(ParameterError, match="quantile"):
-            flag_below_control({"DL": 0.5}, np.ones(10), quantile=0.0)
-        with pytest.raises(ParameterError, match="no valid samples"):
-            flag_below_control({"DL": 0.5}, np.full(4, np.nan))
+    def test_reported_control_cutoff(self):
+        # a control distribution of 67.15% +/- 7.4% puts its 2.5% cutoff
+        # between a 75% and a 50% stratum
+        rng = np.random.default_rng(0)
+        assert 0.51 < summarize_draws(rng.normal(0.6715, 0.074, 10_000)).lo < 0.54
+
+
+def one_class_subjects_table():
+    """8 subjects with one DL and one DR session each; subjects 0-3 are
+    Healthy, 4-7 Unhealthy, so a control draw of 3 subjects is single-class
+    (and its accuracy undefined) 8 times in 56."""
+    rng = np.random.default_rng(0)
+    subj = [f"subj{s}" for s in range(8) for _ in range(4)]
+    health = ["Healthy" if s < 4 else "Unhealthy" for s in range(8) for _ in range(4)]
+    x = rng.normal(size=(32, 1)) + 0.8 * (np.array(health) == "Unhealthy")[:, None]
+    sess = [f"{s}-{r % 2}" for r, s in enumerate(subj)]
+    return assemble_table(x, sess, subj, health, ["left"] * 32, ["DL", "DR"] * 16)
 
 
 class TestConditionOnCovariate:
@@ -457,6 +486,10 @@ class TestConditionOnCovariate:
             table, "device", control_repeats=300, seed=0
         )
         assert res.flagged == ["DL"]
+        assert res.full_accuracy == loso_cv(table).mean_repetition_accuracy
+        for v in ("DL", "DR"):
+            stratum = table.select(table.label("device") == v)
+            assert res.stratum_accuracy[v] == loso_cv(stratum).mean_repetition_accuracy
         assert res.stratum_accuracy["DR"] >= 0.9
         assert res.stratum_accuracy["DL"] < res.control_cutoff
         assert res.full_accuracy >= 0.6
@@ -527,6 +560,40 @@ class TestConditionOnCovariate:
         assert res.flagged == []
         assert res.flagged_for_review
 
+    def test_cutoff_is_the_quantile_of_the_defined_draws(self):
+        table = one_class_subjects_table()
+        res = condition_on_covariate(
+            table, "device", control_repeats=60, control_fraction=0.375, quantile=0.1, seed=2
+        )
+        valid = res.control_samples[~np.isnan(res.control_samples)]
+        assert res.n_control_invalid == 60 - len(valid) > 0
+        assert res.control_cutoff == np.quantile(valid, 0.1)
+        assert res.control_mean == np.mean(valid) and res.control_std == np.std(valid)
+        assert res.flagged == [
+            v for v, a in res.stratum_accuracy.items() if a < res.control_cutoff
+        ]
+
+    def test_undefined_stratum_is_never_flagged(self):
+        # one session on a third device: a single-group, single-class stratum
+        table = device_shortcut_table()
+        device = table.label("device").copy()
+        device[table.label("session_id") == "subj000-left"] = "DX"
+        table = FeatureTable(
+            list(table.feature_names), table.matrix,
+            {**table.labels, "device": device}, table.repetition_index,
+        )
+        res = condition_on_covariate(table, "device", control_repeats=100, seed=0)
+        assert np.isnan(res.stratum_accuracy["DX"])
+        assert "single-class" in res.stratum_notes["DX"]
+        assert res.flagged == ["DL"]
+
+    def test_no_defined_control_draw_raises(self):
+        # a draw of 2 subjects holds one class, or one subject per class so
+        # that every fold trains on a single class
+        table = one_class_subjects_table()
+        with pytest.raises(ParameterError, match="every control subsample was single-class"):
+            condition_on_covariate(table, "device", control_repeats=5, control_fraction=0.25)
+
     def test_validation(self):
         table = device_shortcut_table()
         with pytest.raises(ParameterError, match="must be 'device' or 'side'"):
@@ -535,8 +602,11 @@ class TestConditionOnCovariate:
             condition_on_covariate(table, "device", control_fraction=1.0)
         with pytest.raises(ParameterError, match="control_repeats"):
             condition_on_covariate(table, "device", control_repeats=0)
-        with pytest.raises(ParameterError, match="quantile"):
-            condition_on_covariate(table, "device", quantile=0.7)
+        for bad in (0.0, 0.5, 0.7):
+            with pytest.raises(ParameterError, match="quantile"):
+                condition_on_covariate(table, "device", quantile=bad)
+        with pytest.raises(ParameterError, match="full table"):
+            condition_on_covariate(table.select(table.label("subject") == "subj000"), "device")
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +862,9 @@ class TestCounterfactualRelabel:
         res = counterfactual_relabel(table, DAY_RELABEL, n_permutations=6)
         # 4 defined draws, 2 of them at or above the observed accuracy
         assert res.null_p_value == (1 + 2) / (1 + 4)
-        assert np.isnan(res.null_mean)
+        defined = null[~np.isnan(null)]
+        assert res.null_mean == np.mean(defined) and res.null_std == np.std(defined)
+        assert res.inflation_delta == acc - np.mean(defined)
         monkeypatch.setattr(audit, "_draw_accuracies", lambda keys, build: np.full(6, np.nan))
         assert np.isnan(counterfactual_relabel(table, DAY_RELABEL, n_permutations=6).null_p_value)
 
@@ -937,8 +1009,8 @@ class TestDistinctDrawsScoredOnce:
         assert len(calls) <= 1 + comb(5, 2)
 
     def test_no_draw_reaches_pmap_or_loso_cv(self, monkeypatch):
-        # at the default thread setting only the full-table, stratum and
-        # observed fits go through loso_cv, and no analysis starts a pool
+        # at the default thread setting only the counterfactual's observed
+        # fit goes through loso_cv, and no analysis starts a pool
         monkeypatch.delenv("VIBROAUDIT_THREADS", raising=False)
         calls = {"pmap": 0, "loso_cv": 0}
 
@@ -953,17 +1025,17 @@ class TestDistinctDrawsScoredOnce:
 
         for name in calls:
             monkeypatch.setattr(audit, name, counting(name))
-        cond = condition_on_covariate(
+        condition_on_covariate(
             device_shortcut_table(n_subjects=6), "device", control_repeats=30, seed=4
         )
-        assert calls == {"pmap": 0, "loso_cv": 1 + len(cond.stratum_cv)}
+        assert calls == {"pmap": 0, "loso_cv": 0}
         incremental_mixing_curve(
             device_shortcut_table(n_subjects=4), "device", "DL", "DR", counts=[2, 4], repeats=4
         )
         rotation_analysis(rotated_pair_table(n_subjects=6, reps=4), "side", [0.0, 45.0])
-        assert calls == {"pmap": 0, "loso_cv": 1 + len(cond.stratum_cv)}
+        assert calls == {"pmap": 0, "loso_cv": 0}
         counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=30, seed=4)
-        assert calls == {"pmap": 0, "loso_cv": 2 + len(cond.stratum_cv)}
+        assert calls == {"pmap": 0, "loso_cv": 1}
 
     def test_thread_count_does_not_change_any_draw(self, monkeypatch):
         def all_draws():
@@ -988,3 +1060,32 @@ class TestDistinctDrawsScoredOnce:
         threaded = all_draws()
         for a, b in zip(serial, threaded, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestDrawCountsCheckedBeforeDrawing:
+    """A run needing more draws than one stream kind has fails at once,
+    naming its option, instead of after drawing up to the limit."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw or fit started")
+
+        monkeypatch.setattr(audit, "stream", refuse)
+        monkeypatch.setattr(audit, "_draw_accuracies", refuse)
+        monkeypatch.setattr(audit, "loso_cv", refuse)
+
+    def test_control_repeats(self):
+        with pytest.raises(ParameterError, match="control_repeats 1000001 needs"):
+            condition_on_covariate(device_shortcut_table(), "device", control_repeats=1_000_001)
+
+    def test_mixing_repeats_times_counts(self):
+        # 2 draws per repeat and count: 2 * 8 * 62,501 = 1,000,016
+        with pytest.raises(ParameterError, match="repeats 62501 needs 1000016 draws"):
+            incremental_mixing_curve(
+                device_shortcut_table(), "device", "DL", "DR", counts=range(1, 9), repeats=62_501
+            )
+
+    def test_n_permutations(self):
+        with pytest.raises(ParameterError, match="n_permutations 1000001 needs"):
+            counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=1_000_001)

