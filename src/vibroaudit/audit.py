@@ -63,6 +63,7 @@ from .errors import DegeneracyError, ParameterError
 from .learn import CvResult, loso_accuracies, loso_cv, pca2
 
 AUDIT_COVARIATES = ("device", "side", "subject")
+DEFAULT_BAND_WIDTH_HZ = 10_000.0
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,26 @@ class BandScanResult:
         if np.all(np.isnan(self.per_band_accuracy)):
             raise ParameterError("band scan has no scored band")
         return self.bands[int(np.nanargmax(self.per_band_accuracy))]
+
+
+def uniform_band_plan(nyquist: float, width: float = DEFAULT_BAND_WIDTH_HZ) -> list[tuple[float, float]]:
+    """The band-scan plan of a run without explicit bands: contiguous
+    bands of ``width`` Hz from 250 Hz up to Nyquist.
+
+    Band edges sit at multiples of ``width``; the part above the last
+    multiple below Nyquist is left out, and a width beyond Nyquist gives
+    the one band (250 Hz, Nyquist).
+    """
+    if width <= 250.0:
+        raise ParameterError(f"band width must exceed 250 Hz, got {width}")
+    if width >= nyquist:
+        return [(250.0, nyquist)]
+    edges = [250.0]
+    k = 1
+    while k * width <= nyquist:
+        edges.append(k * width)
+        k += 1
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _validate_bands(bands: Sequence[tuple[float, float]], nyquist: float) -> None:
@@ -470,6 +491,14 @@ def summarize_draws(samples: np.ndarray, quantile: float = 0.025) -> DrawSummary
     return DrawSummary(len(valid), n_invalid, float(valid.mean()), float(valid.std()), lo, hi)
 
 
+def _check_target(table: FeatureTable, target: str) -> None:
+    """Reject a target column of more than 2 classes before anything is
+    drawn; a draw's classes are a subset of the table's."""
+    classes = sorted(set(table.label(target).tolist()))
+    if len(classes) > 2:
+        raise ParameterError(f"target {target!r}: need exactly 2 classes, got {classes}")
+
+
 def _rows_in(table: FeatureTable, column: str, group_key: str, target: str):
     """``build`` of draws that keep the rows whose ``column`` is in the key."""
     values, groups, targets = (table.label(c) for c in (column, group_key, target))
@@ -583,6 +612,7 @@ def condition_on_covariate(
     if not (0 < quantile < 0.5):
         raise ParameterError(f"quantile must be in (0, 0.5), got {quantile}")
 
+    _check_target(table, target)
     col, groups, targets = (table.label(c) for c in (covariate, group_key, target))
     values = sorted(set(col.tolist()))
     if len(values) < 2:
@@ -596,11 +626,16 @@ def condition_on_covariate(
     stratum_accuracy = {str(v): a for v, a in zip(values, strata)}
     stratum_notes: dict[str, str] = {}
     for v in values:
+        if not np.isnan(stratum_accuracy[str(v)]):
+            continue
         classes = set(targets[col == v].tolist())
         if len(classes) < 2:
-            stratum_notes[str(v)] = f"single-class stratum ({classes.pop()!r}); accuracy undefined"
+            note = f"single-class stratum ({classes.pop()!r})"
         elif len(set(groups[col == v].tolist())) < 2:
-            stratum_notes[str(v)] = "single group in stratum; accuracy undefined"
+            note = "single group in stratum"
+        else:
+            note = f"every leave-one-{group_key}-out fold trains on a single class"
+        stratum_notes[str(v)] = note + "; accuracy undefined"
 
     groups_all = sorted(set(groups.tolist()))
     k = int(round(control_fraction * len(groups_all)))
@@ -615,14 +650,20 @@ def condition_on_covariate(
         picked = rng.choice(len(groups_all), size=k, replace=False)
         return tuple(sorted(groups_all[j] for j in picked))
 
-    samples = _draw_accuracies(
-        [draw(i) for i in range(control_repeats)], _rows_in(table, group_key, group_key, target)
-    )
+    keys = [draw(i) for i in range(control_repeats)]
+    samples = _draw_accuracies(keys, _rows_in(table, group_key, group_key, target))
     control = summarize_draws(samples, quantile)
     if not control.n_valid:
-        raise ParameterError(
-            "every control subsample was single-class; control_fraction too small"
+        # a subsample of >= 2 groups is undefined when it holds one class,
+        # or when holding out any one group leaves a single class to train on
+        distinct = set(keys)
+        single = sum(len(set(targets[np.isin(groups, key)].tolist())) < 2 for key in distinct)
+        reason = "every control subsample was single-class" if single == len(distinct) else (
+            f"no control subsample has a defined accuracy: {single} of {len(distinct)} distinct "
+            f"subsamples were single-class, and the other {len(distinct) - single} trained "
+            f"every leave-one-{group_key}-out fold on a single class"
         )
+        raise ParameterError(f"{reason}; control_fraction too small")
     defined = [a for a in stratum_accuracy.values() if not np.isnan(a)]
     review = (not defined) or not (min(defined) <= control.mean <= max(defined))
 
@@ -688,6 +729,7 @@ def incremental_mixing_curve(
     distinct subset, the full pool included, is scored once, which keeps
     the endpoint (k = full stratum, a single possible subset) cheap.
     """
+    _check_target(table, target)
     col = table.label(covariate)
     sess = table.label("session_id")
     base_sessions = sorted(set(sess[col == base_value].tolist()))
@@ -805,6 +847,7 @@ def rotation_analysis(
             f"rotation analysis needs exactly 2 features, got "
             f"{len(table.feature_names)}; use restrict_features first"
         )
+    _check_target(table, target)
     col = table.label(subgroup_key)
     values = sorted(set(col.tolist()))
     if len(values) != 2:

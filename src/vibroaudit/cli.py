@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from ._parallel import pmap
 from .audit import (
+    DEFAULT_BAND_WIDTH_HZ,
     band_scan,
     condition_on_covariate,
     counterfactual_relabel,
@@ -34,11 +35,13 @@ from .audit import (
     incremental_mixing_curve,
     rotation_analysis,
     tone_prevalence_by_label,
+    uniform_band_plan,
 )
 from .dataset import (
     FeatureConfig,
     FeatureTable,
     Manifest,
+    default_feature_config,
     extract_table,
     ingest_wav,
     load_manifest,
@@ -139,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--out", required=True)
     p_audit.add_argument("--bands", default=None,
                          help="comma list of lo-hi Hz pairs, e.g. 250-10000,10000-20000")
-    p_audit.add_argument("--band-width-hz", type=float, default=10_000.0)
+    p_audit.add_argument("--band-width-hz", type=float, default=DEFAULT_BAND_WIDTH_HZ)
     p_audit.add_argument("--covariate", default="device",
                          choices=("device", "side"))
     p_audit.add_argument("--repeats", type=int, default=None)
@@ -164,18 +167,11 @@ def _first_sample_rate(manifest: Manifest | None) -> float | None:
 
 
 def _load_feature_config(path: str | None, sample_rate: float | None) -> FeatureConfig:
-    """Explicit config file, else band 250 Hz to 10 kHz.
-
-    Without a config file the upper edge is clamped to 3/4 of the data's
-    Nyquist (probed from the first session) so low-rate recordings work
-    out of the box; 3/4 leaves filter transition and mel headroom.
-    """
+    """Explicit config file, else the default config at the data's sample
+    rate (probed from the first session)."""
     if path is not None:
         return FeatureConfig.from_json_dict(_read_json(path, "--config"))
-    hi = 10_000.0
-    if sample_rate is not None:
-        hi = min(hi, 0.75 * (sample_rate / 2.0))
-    return FeatureConfig(band_lo=250.0, band_hi=hi)
+    return default_feature_config(sample_rate)
 
 
 def _read_json(path: str, option: str):
@@ -201,20 +197,10 @@ def _parse_bands(text: str) -> list[tuple[float, float]]:
 
 
 def _resolve_bands(args, nyquist: float) -> list[tuple[float, float]]:
-    """Explicit --bands, else a uniform plan from 250 Hz up to Nyquist."""
+    """Explicit --bands, else a uniform plan of --band-width-hz bands."""
     if args.bands:
         return _parse_bands(args.bands)
-    width = args.band_width_hz
-    if width <= 250.0:
-        raise ParameterError(f"--band-width-hz must exceed 250, got {width}")
-    if width >= nyquist:
-        return [(250.0, nyquist)]
-    edges = [250.0]
-    k = 1
-    while k * width <= nyquist:
-        edges.append(k * width)
-        k += 1
-    return list(zip(edges[:-1], edges[1:]))
+    return uniform_band_plan(nyquist, args.band_width_hz)
 
 
 def _parse_grid(text: str | None) -> list[float]:

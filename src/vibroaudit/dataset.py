@@ -322,13 +322,14 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
 # segmentation
 
 
-def segment_repetitions(signal: Signal, record: SessionRecord) -> list[Signal]:
-    """Split a session signal into per-repetition segments.
+def segment_repetitions(signal: Signal, record: SessionRecord) -> list[np.ndarray]:
+    """Split a session signal into per-repetition sample arrays.
 
     With explicit repetition_boundaries (n_repetitions + 1 ascending
     times in seconds) the signal is cut at those sample positions;
     otherwise it is split into n_repetitions equal parts and the
-    remainder samples at the tail are dropped.
+    remainder samples at the tail are dropped.  Each segment is a view
+    into ``signal.samples``, at ``signal.sample_rate``.
     """
     n_reps = record.n_repetitions
     if n_reps < 1:
@@ -350,14 +351,11 @@ def segment_repetitions(signal: Signal, record: SessionRecord) -> list[Signal]:
             )
         cuts = [int(round(b * fs)) for b in bounds]
         cuts[-1] = min(cuts[-1], signal.n_samples)
-        return [Signal(signal.samples[a:b].copy(), fs) for a, b in zip(cuts, cuts[1:])]
+        return [signal.samples[a:b] for a, b in zip(cuts, cuts[1:])]
     seg_len = signal.n_samples // n_reps
     if seg_len < 1:
         raise ParameterError(f"session {record.session_id}: signal too short to split")
-    return [
-        Signal(signal.samples[k * seg_len : (k + 1) * seg_len].copy(), fs)
-        for k in range(n_reps)
-    ]
+    return [signal.samples[k * seg_len : (k + 1) * seg_len] for k in range(n_reps)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +433,20 @@ class FeatureConfig:
         return FeatureConfig(**kwargs)
 
 
+def default_feature_config(sample_rate: float | None) -> FeatureConfig:
+    """The feature config of a run without a config file: band 250 Hz to
+    10 kHz.
+
+    With the data's sample rate the upper edge is clamped to 3/4 of its
+    Nyquist, so low-rate recordings work out of the box; 3/4 leaves
+    filter transition and mel headroom.
+    """
+    hi = 10_000.0
+    if sample_rate is not None:
+        hi = min(hi, 0.75 * (sample_rate / 2.0))
+    return FeatureConfig(band_lo=250.0, band_hi=hi)
+
+
 # JSON form of each config field type: (description, check)
 _JSON_TYPES = {
     # the comparison also rejects nan, infinities and ints beyond float range
@@ -462,16 +474,6 @@ def _config_kwargs(cls, obj, where: str) -> dict:
     if missing:
         raise FormatError(f"{where}: missing required key {missing[0]!r}")
     return dict(obj)
-
-
-@dataclass
-class FeatureVector:
-    values: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for name, val in self.values.items():
-            if not np.isfinite(val):
-                raise ParameterError(f"feature {name} is not finite: {val}")
 
 
 def minimum_segment_samples(cfg: FeatureConfig, sample_rate: float) -> int:
@@ -502,7 +504,7 @@ def _frame_feature_block(filtered: np.ndarray, fs: float, cfg: FeatureConfig) ->
     mc = cfg.mfcc
     frame_len = mc.frame_len(fs)
     hop = mc.hop(fs)
-    freqs, power = power_frames(Signal(core, fs), frame_len, hop)
+    freqs, power = power_frames(core, fs, frame_len, hop)
     n_fft = (power.shape[1] - 1) * 2
     fbank = mel_filterbank(mc.n_mels, n_fft, fs, mc.fmin, mc.fmax)
     coeffs = mfcc_from_power(power, fbank, mc.n_coeffs, mc.log_floor)
@@ -570,46 +572,47 @@ def _aggregate(series: dict[str, np.ndarray], aggregators: tuple[str, ...], suff
     }
 
 
-def _channels(segment: Signal, channel_mode: str) -> list[tuple[str, np.ndarray]]:
+def _channels(samples: np.ndarray, channel_mode: str) -> list[tuple[str, np.ndarray]]:
     """(column-name suffix, mono samples) of each channel the feature map reads."""
-    if segment.channels == 1:
-        return [("", segment.samples)]
+    if samples.ndim == 1:
+        return [("", samples)]
     if channel_mode == "mixdown":
-        return [("", segment.samples.mean(axis=1))]
-    return [(f"_ch{c}", segment.samples[:, c]) for c in range(2)]
+        return [("", samples.mean(axis=1))]
+    return [(f"_ch{c}", samples[:, c]) for c in range(2)]
 
 
-def _segment_features(segment: Signal, cfgs: Sequence[FeatureConfig]) -> list[FeatureVector]:
-    """g of one segment under each config.
+def _segment_features(samples: np.ndarray, fs: float, cfgs: Sequence[FeatureConfig]) -> list[dict[str, float]]:
+    """g of one segment, mono (n,) or two-channel (n, 2) samples at ``fs``
+    Hz, under each config.
 
     Configs that share taps and channel mode pad each channel the same
     way, so one zero-delay filtering pass serves all their bands.
     """
-    fs = segment.sample_rate
     for cfg in cfgs:
-        check_segment_length(segment.n_samples, cfg, fs)
+        check_segment_length(len(samples), cfg, fs)
     groups: dict[tuple[int, str], list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault((cfg.taps, cfg.channel_mode), []).append(i)
     values: list[dict[str, float]] = [{} for _ in cfgs]
     for (taps, channel_mode), members in groups.items():
         kernels = [band_spectrum(cfgs[i].band_lo, cfgs[i].band_hi, fs, taps) for i in members]
-        for suffix, x in _channels(segment, channel_mode):
+        for suffix, x in _channels(samples, channel_mode):
             for i, filtered in zip(members, zero_delay_filter(x, taps, kernels)):
                 series = _frame_feature_block(filtered, fs, cfgs[i])
                 values[i].update(_aggregate(series, cfgs[i].aggregators, suffix))
-    return [FeatureVector(v) for v in values]
+    return values
 
 
-def extract_features(segment: Signal, cfg: FeatureConfig) -> FeatureVector:
-    """The feature map g: one repetition segment -> named features.
+def extract_features(segment: Signal, cfg: FeatureConfig) -> dict[str, float]:
+    """The feature map g: one repetition segment -> feature name -> value.
 
-    Deterministic: identical (segment, cfg) give an identical vector.
+    Deterministic: identical (segment, cfg) give identical values.
     Features are computed strictly inside the band (the frame power
     spectrum is restricted to [band_lo, band_hi]), so components well
-    outside the band cannot move them.
+    outside the band cannot move them.  Values are not checked for
+    finiteness here; :func:`extract_tables` checks each table it builds.
     """
-    return _segment_features(segment, [cfg])[0]
+    return _segment_features(segment.samples, segment.sample_rate, [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -749,17 +752,20 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
 
     A row is one repetition: its features are g of the segment, its label
     columns the session record's fields (LABEL_FIELDS) and its
-    repetition_index the segment's position in the session.
+    repetition_index the segment's position in the session.  A feature
+    value that is not finite raises ParameterError naming its feature,
+    session and repetition.
     """
     if not manifest.sessions:
         raise ParameterError("cannot build a feature table from zero sessions")
     if not cfgs:
         return []
 
-    def one_session(rec: SessionRecord) -> list[list[dict[str, float]]]:
-        segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
-        per_segment = [_segment_features(seg, cfgs) for seg in segments]
-        return [[vec.values for vec in per_cfg] for per_cfg in zip(*per_segment)]
+    def one_session(rec: SessionRecord) -> list[tuple[dict[str, float], ...]]:
+        signal = ingest_wav(manifest.wav_file(rec))
+        per_segment = [_segment_features(seg, signal.sample_rate, cfgs)
+                       for seg in segment_repetitions(signal, rec)]
+        return list(zip(*per_segment))
 
     per_session = pmap(one_session, manifest.sessions)
     n_reps = [len(values[0]) for values in per_session]
@@ -776,6 +782,13 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
                 raise ParameterError(f"feature name mismatch in session {rec.session_id}: "
                                      f"{sorted(set(values[c][0]) ^ set(names))}")
         matrix = np.array([list(v.values()) for values in per_session for v in values[c]], dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(matrix))
+        if len(bad):
+            i, j = bad[0]
+            raise ParameterError(
+                f"feature {names[j]} is not finite in session {labels['session_id'][i]}, "
+                f"repetition {reps[i]}: {matrix[i, j]}"
+            )
         tables.append(FeatureTable(names, matrix, dict(labels), reps))
     return tables
 

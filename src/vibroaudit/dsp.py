@@ -6,6 +6,12 @@ call from worker threads.  The only state is three bounded caches of
 derived constants (band-pass kernel spectra, mel filterbanks, DCT
 matrices), which hand out read-only arrays.  Frequencies are Hz, times
 are seconds, signals are float64 arrays normalized to [-1, 1].
+
+A :class:`Signal` checks its samples once, when it is built.  The
+routines of the feature map (:func:`zero_delay_filter`,
+:func:`frame_signal`, :func:`power_frames`) take plain mono sample
+arrays cut from a checked Signal, plus the sample rate where they need
+it, and check them no further.
 """
 
 from __future__ import annotations
@@ -399,21 +405,15 @@ def dct2_matrix(n: int) -> np.ndarray:
     return _readonly(mat)
 
 
-def power_frames(signal: Signal, frame_len: int, hop: int, n_fft: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Hann-windowed per-frame power spectra of a mono signal.
+def power_frames(x: np.ndarray, sample_rate: float, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed per-frame power spectra of a mono sample array.
 
     Returns (bin_freqs, power) with power of shape (n_frames, n_bins).
-    ``n_fft`` defaults to the next power of two >= frame_len; frames are
-    zero-padded up to it.
+    Frames are zero-padded to the next power of two >= frame_len.
     """
-    if signal.channels != 1:
-        raise ParameterError("power_frames expects a mono signal")
-    if n_fft is None:
-        n_fft = 1 << (frame_len - 1).bit_length()
-    if n_fft < frame_len:
-        raise ParameterError(f"n_fft ({n_fft}) must be >= frame_len ({frame_len})")
-    power = np.abs(_hann_rfft(signal.samples, frame_len, hop, n_fft)) ** 2
-    return np.fft.rfftfreq(n_fft, 1.0 / signal.sample_rate), power
+    n_fft = 1 << (frame_len - 1).bit_length()
+    power = np.abs(_hann_rfft(x, frame_len, hop, n_fft)) ** 2
+    return np.fft.rfftfreq(n_fft, 1.0 / sample_rate), power
 
 
 def mfcc_from_power(power: np.ndarray, fbank: np.ndarray, n_coeffs: int, log_floor: float) -> np.ndarray:

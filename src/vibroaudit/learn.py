@@ -19,12 +19,12 @@ fit's bits never depend on what else shares its stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from ._parallel import pmap  # noqa: F401  unused here; perfbench/spans.py patches learn.pmap
-from .dataset import FeatureTable, FeatureVector
+from .dataset import FeatureTable
 from .errors import ParameterError
 
 DEFAULT_L2 = 1e-3
@@ -260,13 +260,10 @@ def _predict_labels(scores: np.ndarray, classes) -> np.ndarray:
     return np.where(scores > DECISION_THRESHOLD, classes[1], classes[0]).astype(object)
 
 
-def predict(model: LinearModel, feature_vector) -> tuple[str, float]:
-    """Score one sample: (predicted label, p(positive)).
-
-    Accepts a mapping of feature name to value or a FeatureVector.
-    """
+def predict(model: LinearModel, values: Mapping[str, float]) -> tuple[str, float]:
+    """Score one sample, a mapping of feature name to value:
+    (predicted label, p(positive))."""
     names = model.feature_names
-    values = feature_vector.values if isinstance(feature_vector, FeatureVector) else feature_vector
     for name in names:
         if name not in values:
             raise ParameterError(f"missing feature {name!r} required by the model")

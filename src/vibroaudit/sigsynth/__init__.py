@@ -20,8 +20,6 @@ from .world import (
 from .render import GroundTruth, RecordingSession, sample_cohort, write_dataset
 from .presets import (
     SCENARIOS,
-    default_band_plan,
-    recommended_feature_config,
     scenario_preset,
 )
 from .posterior import QuantizerSpec, bayes_accuracy, exact_posterior
@@ -41,8 +39,6 @@ __all__ = [
     "write_dataset",
     "SCENARIOS",
     "scenario_preset",
-    "recommended_feature_config",
-    "default_band_plan",
     "QuantizerSpec",
     "exact_posterior",
     "bayes_accuracy",

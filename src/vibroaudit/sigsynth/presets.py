@@ -9,22 +9,10 @@ shortcut, not to the knees.
 
 from __future__ import annotations
 
-from ..dataset import FeatureConfig
 from ..errors import ParameterError
 from .world import BaseSource, CohortSpec, WorldSpec
 
 SCENARIOS = ("clean", "tone-bias", "randomized-tone", "device-shift", "day-nuisance")
-
-
-def default_band_plan() -> list[tuple[float, float]]:
-    """Wideband scan grid: five contiguous 10 kHz groups from 250 Hz up."""
-    return [
-        (250.0, 10_000.0),
-        (10_000.0, 20_000.0),
-        (20_000.0, 30_000.0),
-        (30_000.0, 40_000.0),
-        (40_000.0, 50_000.0),
-    ]
 
 
 def _knee(health_effect: bool) -> BaseSource:
@@ -189,17 +177,3 @@ def scenario_preset(
         causal_link_enabled=False,
         seed=seed,
     )
-
-
-def recommended_feature_config(name: str) -> FeatureConfig:
-    """Feature band an analyst would plausibly pick for each scenario.
-
-    The tone scenarios deliberately get the audible-and-below band
-    (250 Hz to 10 kHz): the planted 33 kHz tone lies outside it, which
-    is exactly the situation the wideband scan is for.
-    """
-    if name not in SCENARIOS:
-        raise ParameterError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    if name in ("clean", "tone-bias", "randomized-tone"):
-        return FeatureConfig(band_lo=250.0, band_hi=10_000.0)
-    return FeatureConfig(band_lo=250.0, band_hi=6_000.0)

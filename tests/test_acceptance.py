@@ -22,11 +22,13 @@ from vibroaudit.audit import (
     covariate_predictability,
     detect_persistent_tones,
     rotation_analysis,
+    uniform_band_plan,
 )
 from vibroaudit.cli import EXIT_FLAGS, EXIT_OK, main as cli_main
 from vibroaudit.dataset import (
     FeatureConfig,
     FeatureTable,
+    default_feature_config,
     extract_features,
     extract_table,
     ingest_wav,
@@ -55,12 +57,17 @@ from vibroaudit.sigsynth import (
     scenario_preset,
     write_dataset,
 )
-from vibroaudit.sigsynth.presets import default_band_plan, recommended_feature_config
 
 pytestmark = pytest.mark.acceptance
 
 FS = 100_000.0
 TONE_BAND = (30_000.0, 40_000.0)
+
+
+def cli_feature_config(name):
+    """The feature config ``vibroaudit features`` picks, without --config,
+    for a scenario's recordings."""
+    return default_feature_config(scenario_preset(name).sample_rate)
 
 
 def render_dataset(name, seed, out_dir, n_subjects=None):
@@ -79,8 +86,10 @@ def tone_world_seed0(tmp_path_factory):
 
 
 def test_tone_band_scan_separates_artifact_band(tone_world_seed0):
-    bands = default_band_plan()
-    cfg = recommended_feature_config("tone-bias")
+    # the band plan and feature config `vibroaudit audit band-scan` picks
+    # without --bands or --config
+    bands = uniform_band_plan(FS / 2.0)
+    cfg = cli_feature_config("tone-bias")
     tone_idx = bands.index(TONE_BAND)
     base_idx = bands.index((250.0, 10_000.0))
 
@@ -170,7 +179,7 @@ def test_persistent_tone_detector_hits_and_stays_quiet(tone_world_seed0):
 
 
 def test_day_regrouping_inflates_without_any_mechanism():
-    cfg = recommended_feature_config("day-nuisance")
+    cfg = cli_feature_config("day-nuisance")
     hits = 0
     accs, null_means = [], []
     for seed in range(10):
@@ -197,7 +206,7 @@ def test_day_regrouping_inflates_without_any_mechanism():
 
 
 def test_device_conditioning_collapses_one_stratum():
-    cfg = recommended_feature_config("device-shift")
+    cfg = cli_feature_config("device-shift")
     t0 = time.perf_counter()
     fulls, covs = [], []
     below_cutoff = 0
@@ -433,8 +442,8 @@ def test_signal_chain_reference_points():
     base = extract_features(Signal(base_x, FS), cfg)
     with_tone = extract_features(Signal(base_x + tone, FS), cfg)
     worst_rel = 0.0
-    for name, val in base.values.items():
-        rel = abs(with_tone.values[name] - val) / max(1e-12, abs(val))
+    for name, val in base.items():
+        rel = abs(with_tone[name] - val) / max(1e-12, abs(val))
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-6, name
 

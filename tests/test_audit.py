@@ -34,6 +34,7 @@ from vibroaudit.audit import (
     rotation_analysis,
     summarize_draws,
     tone_prevalence_by_label,
+    uniform_band_plan,
 )
 from vibroaudit._rng import stream, substream_id
 from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, load_manifest
@@ -124,6 +125,17 @@ class TestBandScan:
         assert sorted(res.skipped) == [0, 1]
         with pytest.raises(ParameterError, match="no scored band"):
             res.best_band()
+
+    def test_uniform_band_plan(self):
+        # the plan `audit band-scan` uses without --bands
+        assert uniform_band_plan(50_000.0) == [
+            (250.0, 10_000.0), (10_000.0, 20_000.0), (20_000.0, 30_000.0),
+            (30_000.0, 40_000.0), (40_000.0, 50_000.0),
+        ]
+        assert uniform_band_plan(8_000.0) == [(250.0, 8_000.0)]
+        assert uniform_band_plan(8_000.0, 3_000.0) == [(250.0, 3_000.0), (3_000.0, 6_000.0)]
+        with pytest.raises(ParameterError, match="band width must exceed 250 Hz"):
+            uniform_band_plan(8_000.0, 250.0)
 
     def test_band_plan_validation(self, tone_manifest):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
@@ -479,6 +491,16 @@ def one_class_subjects_table():
     return assemble_table(x, sess, subj, health, ["left"] * 32, ["DL", "DR"] * 16)
 
 
+def with_label(table, column, sessions, value):
+    """``table`` with label ``column`` set to ``value`` on the rows of ``sessions``."""
+    col = table.label(column).copy()
+    col[np.isin(table.label("session_id"), sessions)] = value
+    return FeatureTable(
+        list(table.feature_names), table.matrix,
+        {**table.labels, column: col}, table.repetition_index,
+    )
+
+
 class TestConditionOnCovariate:
     def test_shortcut_stratum_is_flagged(self):
         table = device_shortcut_table()
@@ -575,24 +597,39 @@ class TestConditionOnCovariate:
 
     def test_undefined_stratum_is_never_flagged(self):
         # one session on a third device: a single-group, single-class stratum
-        table = device_shortcut_table()
-        device = table.label("device").copy()
-        device[table.label("session_id") == "subj000-left"] = "DX"
-        table = FeatureTable(
-            list(table.feature_names), table.matrix,
-            {**table.labels, "device": device}, table.repetition_index,
-        )
+        table = with_label(device_shortcut_table(), "device", ["subj000-left"], "DX")
         res = condition_on_covariate(table, "device", control_repeats=100, seed=0)
         assert np.isnan(res.stratum_accuracy["DX"])
         assert "single-class" in res.stratum_notes["DX"]
         assert res.flagged == ["DL"]
 
+    def test_stratum_of_one_subject_per_class_is_explained(self):
+        # an Unhealthy and a Healthy leg of two subjects on a third device:
+        # two subjects and two classes, but each fold trains on one subject
+        table = with_label(device_shortcut_table(), "device", ["subj000-left", "subj001-left"], "DX")
+        res = condition_on_covariate(table, "device", control_repeats=100, seed=0)
+        assert np.isnan(res.stratum_accuracy["DX"])
+        assert res.stratum_notes == {
+            "DX": "every leave-one-subject-out fold trains on a single class; accuracy undefined"
+        }
+
     def test_no_defined_control_draw_raises(self):
         # a draw of 2 subjects holds one class, or one subject per class so
         # that every fold trains on a single class
         table = one_class_subjects_table()
-        with pytest.raises(ParameterError, match="every control subsample was single-class"):
+        with pytest.raises(ParameterError, match=(
+            r"no control subsample has a defined accuracy: 2 of 5 distinct subsamples were "
+            r"single-class, and the other 3 trained every leave-one-subject-out fold on a "
+            r"single class; control_fraction too small"
+        )):
             condition_on_covariate(table, "device", control_repeats=5, control_fraction=0.25)
+        # seed 2 draws two same-class pairs
+        with pytest.raises(ParameterError, match=(
+            "^every control subsample was single-class; control_fraction too small$"
+        )):
+            condition_on_covariate(
+                table, "device", control_repeats=2, control_fraction=0.25, seed=2
+            )
 
     def test_validation(self):
         table = device_shortcut_table()
@@ -1062,18 +1099,20 @@ class TestDistinctDrawsScoredOnce:
             assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.fixture
+def refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw or fit started")
+
+    monkeypatch.setattr(audit, "stream", refuse)
+    monkeypatch.setattr(audit, "_draw_accuracies", refuse)
+    monkeypatch.setattr(audit, "loso_cv", refuse)
+
+
+@pytest.mark.usefixtures("refuse_draws")
 class TestDrawCountsCheckedBeforeDrawing:
     """A run needing more draws than one stream kind has fails at once,
     naming its option, instead of after drawing up to the limit."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_draws(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a draw or fit started")
-
-        monkeypatch.setattr(audit, "stream", refuse)
-        monkeypatch.setattr(audit, "_draw_accuracies", refuse)
-        monkeypatch.setattr(audit, "loso_cv", refuse)
 
     def test_control_repeats(self):
         with pytest.raises(ParameterError, match="control_repeats 1000001 needs"):
@@ -1089,3 +1128,20 @@ class TestDrawCountsCheckedBeforeDrawing:
     def test_n_permutations(self):
         with pytest.raises(ParameterError, match="n_permutations 1000001 needs"):
             counterfactual_relabel(day_level_table(), DAY_RELABEL, n_permutations=1_000_001)
+
+
+@pytest.mark.usefixtures("refuse_draws")
+class TestTargetCheckedBeforeDrawing:
+    """A target column of more than 2 classes fails at once, naming the
+    column, in every analysis that scores draws."""
+
+    @pytest.mark.parametrize("analysis", [
+        lambda t: condition_on_covariate(t, "device", control_repeats=10),
+        lambda t: incremental_mixing_curve(t, "device", "DL", "DR", counts=[1], repeats=2),
+        lambda t: rotation_analysis(t, "side", [0.0]),
+    ], ids=["condition", "mixing", "rotation"])
+    def test_third_class_is_named(self, analysis):
+        with pytest.raises(ParameterError, match=(
+            r"target 'health': need exactly 2 classes, got \['Healthy', 'Unhealthy', 'Unknown'\]"
+        )):
+            analysis(with_label(device_shortcut_table(), "health", ["subj000-left"], "Unknown"))

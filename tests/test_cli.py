@@ -10,6 +10,10 @@ from vibroaudit.cli import EXIT_ERROR, EXIT_FLAGS, EXIT_OK, _tone_frame_len, mai
 from vibroaudit.dataset import FeatureConfig, ingest_wav, load_manifest
 from vibroaudit.dsp import Signal, stft
 from vibroaudit.report import canonical_json, read_report, strip_timing, write_series_csv
+from vibroaudit.sigsynth import SCENARIOS
+
+SUITE_SECTIONS = ("band_scan", "tones", "prevalence", "covariate", "conditioning",
+                  "mixing_curve", "rotation", "counterfactual")
 
 
 def run(*argv):
@@ -38,6 +42,22 @@ def clean_dataset(tmp_path_factory):
     )
     assert rc == EXIT_OK
     return out
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_runs_the_documented_workflow(scenario, tmp_path, capsys):
+    data, features, out = tmp_path / "data", tmp_path / "features.csv", tmp_path / "audit"
+    assert run("synth", "--scenario", scenario, "--subjects", "4", "--repetitions", "2",
+               "--duration", "0.5", "--out", str(data)) == EXIT_OK
+    assert run("features", "--manifest", str(data / "manifest.json"),
+               "--out", str(features)) == EXIT_OK
+    rc = run("audit", "suite", "--manifest", str(data / "manifest.json"),
+             "--features", str(features), "--repeats", "5", "--out", str(out))
+    assert rc in (EXIT_OK, EXIT_FLAGS)
+    assert "Traceback" not in capsys.readouterr().err
+    doc = read_report(out / "report.json")
+    for name in SUITE_SECTIONS:
+        assert name in doc["sections"] or doc["skipped_sections"].get(name), name
 
 
 class TestSynth:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vibroaudit.dataset as dataset
 from vibroaudit.dataset import (
     FeatureConfig,
     FeatureTable,
@@ -16,6 +17,7 @@ from vibroaudit.dataset import (
     SessionRecord,
     LABEL_FIELDS,
     _aggregate,
+    default_feature_config,
     extract_features,
     extract_table,
     extract_tables,
@@ -27,7 +29,7 @@ from vibroaudit.dataset import (
     wav_sample_rate,
     write_wav,
 )
-from vibroaudit.dsp import Signal
+from vibroaudit.dsp import Signal, mfcc_from_power
 from vibroaudit.errors import FormatError, ManifestError, ParameterError, VibroauditError
 
 FS = 100_000.0
@@ -309,20 +311,22 @@ class TestSegmentation:
         sig = Signal(np.arange(2_400) / 2_400.0, fs)  # 24 s
         segs = segment_repetitions(sig, record(6))
         assert len(segs) == 6
-        assert all(s.duration == pytest.approx(4.0) for s in segs)
-        np.testing.assert_array_equal(segs[1].samples, sig.samples[400:800])
+        assert all(len(s) == 400 for s in segs)  # 4 s each
+        np.testing.assert_array_equal(segs[1], sig.samples[400:800])
+        # views into the session's samples, not copies
+        assert all(s.base is sig.samples for s in segs)
 
     def test_equal_split_eight(self):
         sig = Signal(np.zeros(3_205), 100.0)
         segs = segment_repetitions(sig, record(8))
         assert len(segs) == 8
-        assert all(s.n_samples == 400 for s in segs)  # remainder 5 dropped
+        assert all(len(s) == 400 for s in segs)  # remainder 5 dropped
 
     def test_boundaries(self):
         fs = 100.0
         sig = Signal(np.zeros(1_000), fs)  # 10 s
         segs = segment_repetitions(sig, record(2, boundaries=[0.0, 3.5, 8.0]))
-        assert [s.duration for s in segs] == [pytest.approx(3.5), pytest.approx(4.5)]
+        assert [len(s) for s in segs] == [350, 450]  # 3.5 s and 4.5 s
 
     def test_boundaries_out_of_range(self):
         sig = Signal(np.zeros(1_000), 100.0)
@@ -394,15 +398,15 @@ class TestExtractFeatures:
         seg = noise_segment()
         a = extract_features(seg, cfg)
         b = extract_features(seg, cfg)
-        assert a.values == b.values
+        assert a == b
 
     def test_feature_names(self):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
         vec = extract_features(noise_segment(), cfg)
-        assert "mfcc08_mean" in vec.values
-        assert "mfcc11_std" in vec.values
-        assert "spectral_centroid_mean" in vec.values
-        assert len(vec.values) == (13 + 4) * 2
+        assert "mfcc08_mean" in vec
+        assert "mfcc11_std" in vec
+        assert "spectral_centroid_mean" in vec
+        assert len(vec) == (13 + 4) * 2
 
     def test_out_of_band_tone_invisible(self):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
@@ -410,9 +414,9 @@ class TestExtractFeatures:
         tone = 0.3 * np.sin(2 * np.pi * 33_000 * t)
         base = extract_features(noise_segment(seed=5), cfg)
         with_tone = extract_features(noise_segment(seed=5, extra=tone), cfg)
-        for name, val in base.values.items():
+        for name, val in base.items():
             ref = max(1e-12, abs(val))
-            assert abs(with_tone.values[name] - val) / ref < 1e-6, name
+            assert abs(with_tone[name] - val) / ref < 1e-6, name
 
     def test_in_band_tone_visible(self):
         cfg = FeatureConfig(band_lo=30_000.0, band_hi=40_000.0)
@@ -422,8 +426,8 @@ class TestExtractFeatures:
         base2 = extract_features(noise_segment(seed=6), cfg)
         with_tone = extract_features(noise_segment(seed=5, extra=tone), cfg)
         name = "spectral_centroid_mean"
-        replicate_noise = abs(base.values[name] - base2.values[name])
-        assert abs(with_tone.values[name] - base.values[name]) > 10 * replicate_noise
+        replicate_noise = abs(base[name] - base2[name])
+        assert abs(with_tone[name] - base[name]) > 10 * replicate_noise
 
     def test_too_short_reports_minimum(self):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
@@ -437,14 +441,14 @@ class TestExtractFeatures:
         seg = Signal(0.2 * np.sin(2 * np.pi * 1_000 * t), FS)
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
         vec = extract_features(seg, cfg)
-        assert vec.values["rms_mean"] == pytest.approx(0.2 / np.sqrt(2), rel=0.02)
+        assert vec["rms_mean"] == pytest.approx(0.2 / np.sqrt(2), rel=0.02)
 
     def test_zcr_reads_tone_frequency(self):
         t = np.arange(60_000) / FS
         seg = Signal(0.2 * np.sin(2 * np.pi * 2_000 * t), FS)
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
         vec = extract_features(seg, cfg)
-        assert vec.values["zero_crossing_rate_mean"] == pytest.approx(4_000, rel=0.02)
+        assert vec["zero_crossing_rate_mean"] == pytest.approx(4_000, rel=0.02)
 
     def test_stereo_per_channel_and_mixdown(self):
         rng = np.random.default_rng(3)
@@ -452,15 +456,22 @@ class TestExtractFeatures:
         seg = Signal(x, FS)
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
         vec = extract_features(seg, cfg)
-        assert "mfcc00_ch0_mean" in vec.values and "mfcc00_ch1_mean" in vec.values
+        assert "mfcc00_ch0_mean" in vec and "mfcc00_ch1_mean" in vec
         mono_cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0, channel_mode="mixdown")
         mixed = extract_features(seg, mono_cfg)
-        assert "mfcc00_mean" in mixed.values
+        assert "mfcc00_mean" in mixed
 
     def test_aggregator_subset(self):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0, aggregators=("mean",))
         vec = extract_features(noise_segment(), cfg)
-        assert all(name.endswith("_mean") for name in vec.values)
+        assert all(name.endswith("_mean") for name in vec)
+
+    def test_default_config_clamps_the_band_to_the_data(self):
+        # the config `vibroaudit features` uses without --config
+        assert default_feature_config(None) == FeatureConfig(band_lo=250.0, band_hi=10_000.0)
+        assert default_feature_config(100_000.0) == FeatureConfig(band_lo=250.0, band_hi=10_000.0)
+        # 3/4 of the 8 kHz Nyquist of a 16 kHz recording
+        assert default_feature_config(16_000.0) == FeatureConfig(band_lo=250.0, band_hi=6_000.0)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -578,9 +589,9 @@ class TestFeatureTable:
         manifest, cfg, table = toy_table(tmp_path)
         row = 0
         for rec in manifest.sessions:
-            segments = segment_repetitions(ingest_wav(manifest.wav_file(rec)), rec)
-            for k, seg in enumerate(segments):
-                values = extract_features(seg, cfg).values
+            signal = ingest_wav(manifest.wav_file(rec))
+            for k, seg in enumerate(segment_repetitions(signal, rec)):
+                values = extract_features(Signal(seg, signal.sample_rate), cfg)
                 assert list(values) == table.feature_names
                 np.testing.assert_array_equal(table.matrix[row], list(values.values()))
                 assert table.repetition_index[row] == k
@@ -588,6 +599,25 @@ class TestFeatureTable:
                     assert table.labels[col][row] == getattr(rec, field)
                 row += 1
         assert row == table.n_rows
+
+    def test_non_finite_feature_is_rejected_per_table(self, tmp_path, monkeypatch):
+        # one NaN cepstral value, in the fourth segment the serial loop reads
+        monkeypatch.setenv("VIBROAUDIT_THREADS", "1")
+        manifest, cfg, _ = toy_table(tmp_path)
+        calls = []
+
+        def poisoned(*args):
+            coeffs = mfcc_from_power(*args)
+            calls.append(None)
+            if len(calls) == 4:
+                coeffs[0, 3] = np.nan
+            return coeffs
+
+        monkeypatch.setattr(dataset, "mfcc_from_power", poisoned)
+        with pytest.raises(ParameterError, match=re.escape(
+            "feature mfcc03_mean is not finite in session s1, repetition 1: nan"
+        )):
+            extract_table(manifest, cfg)
 
     def test_extract_tables_matches_extract_table_per_config(self, tmp_path):
         manifest, cfg, table = toy_table(tmp_path)
