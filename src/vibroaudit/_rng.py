@@ -26,8 +26,6 @@ _KIND_OFFSETS = {
     "control": 2_000_000,
     "mixing": 3_000_000,
     "permutation": 4_000_000,
-    "rotation": 5_000_000,
-    "noise": 6_000_000,
     "misc": 7_000_000,
 }
 # indices per kind: one offset apart, so kinds never share an id

@@ -55,10 +55,12 @@ from .dataset import (
     extract_table,  # noqa: F401  unused here; perfbench/spans.py patches audit.extract_table
     extract_tables,
     ingest_wav,  # noqa: F401  unused here; perfbench/spans.py patches audit.ingest_wav
+    mel_grid_problem,
     wav_frames,
     wav_sample_rate,
 )
-from .dsp import Spectrogram, mel_filterbank
+from .dsp import Spectrogram
+from .dsp import mel_filterbank  # noqa: F401  unused here; perfbench/spans.py patches audit.mel_filterbank
 from .errors import DegeneracyError, ParameterError
 from .learn import CvResult, loso_accuracies, loso_cv, pca2
 
@@ -112,20 +114,12 @@ def uniform_band_plan(nyquist: float, width: float = DEFAULT_BAND_WIDTH_HZ) -> l
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _validate_bands(bands: Sequence[tuple[float, float]], nyquist: float) -> None:
+def _validate_bands(bands: Sequence[tuple[float, float]]) -> None:
+    # the plan as a whole; each band's own config and mel grid check its edges
     if not bands:
         raise ParameterError("band plan is empty")
-    prev_hi = 0.0
-    for lo, hi in bands:
-        if not (0 < lo < hi):
-            raise ParameterError(f"need 0 < lo < hi, got band ({lo}, {hi})")
-        if hi > nyquist:
-            raise ParameterError(
-                f"band ({lo}, {hi}) exceeds the Nyquist frequency {nyquist}"
-            )
-        if lo < prev_hi:
-            raise ParameterError("bands must be ascending and non-overlapping")
-        prev_hi = hi
+    if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(bands, bands[1:])):
+        raise ParameterError("bands must be ascending and non-overlapping")
 
 
 def band_scan(
@@ -138,49 +132,36 @@ def band_scan(
     """Re-extract features inside each band and rerun the classifier.
 
     Each band gets its own band-pass and its own mel analysis range, so
-    the per-band accuracy reflects only information inside that band.  A
-    band too narrow for the mel grid to resolve (some triangular filter
-    covers no FFT bin) is skipped with a reason instead of producing
-    coefficients made of log-floor noise.  Each session is read and
-    segmented once for all bands.
+    the per-band accuracy reflects only information inside that band; a
+    band equal to cfg's keeps cfg, mel range included.  A band whose mel
+    grid the feature map refuses (:func:`~vibroaudit.dataset.mel_grid_problem`)
+    is skipped with that reason.  Each session is read and segmented once
+    for all bands.
     """
     if len({rec.subject_id for rec in manifest.sessions}) < 2:
         raise ParameterError("band scan needs >= 2 subjects")
+    _validate_bands(bands)
+    band_cfgs = [cfg if (lo, hi) == (cfg.band_lo, cfg.band_hi) else replace(
+        cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)) for lo, hi in bands]
     first = manifest.wav_file(manifest.sessions[0])
     fs = wav_sample_rate(first)
-    _validate_bands(bands, fs / 2.0)
     # every band keeps cfg's frame and taps; if no segment of the first
-    # session fits them, extraction would stop there
+    # session fits them, extraction would stop there (and the frame sizes
+    # the mel grids built below)
     check_segment_length(wav_frames(first), cfg, fs)
 
-    accs = np.full(len(bands), np.nan)
-    skipped: dict[int, str] = {}
-    scored: dict[int, FeatureConfig] = {}
-    for i, (lo, hi) in enumerate(bands):
-        band_cfg = cfg if (lo, hi) == (cfg.band_lo, cfg.band_hi) else replace(
-            cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)
-        )
-        m = band_cfg.mfcc
-        frame_len = m.frame_len(fs)
-        n_fft = 1 << (frame_len - 1).bit_length()
-        fbank = mel_filterbank(m.n_mels, n_fft, fs, lo, hi)
-        empty = int(np.sum(fbank.sum(axis=1) == 0))
-        if empty:
-            skipped[i] = (
-                f"band ({lo}, {hi}) Hz is too narrow for the mel grid: "
-                f"{empty} of {m.n_mels} filters cover no FFT bin"
-            )
-            continue
-        scored[i] = band_cfg
-    tables = extract_tables(manifest, list(scored.values()))
+    problems = [mel_grid_problem(c, fs) for c in band_cfgs]
+    scored = [i for i, problem in enumerate(problems) if not problem]
+    tables = extract_tables(manifest, [band_cfgs[i] for i in scored])
     cvs = {i: loso_cv(t, group_key=group_key, target=target) for i, t in zip(scored, tables)}
+    accs = np.full(len(bands), np.nan)
     for i, cv in cvs.items():
         accs[i] = cv.mean_repetition_accuracy
     return BandScanResult(
         bands=[(float(lo), float(hi)) for lo, hi in bands],
         per_band_accuracy=accs,
         cv=cvs,
-        skipped=skipped,
+        skipped={i: problem for i, problem in enumerate(problems) if problem},
         group_key=group_key,
         target=target,
     )

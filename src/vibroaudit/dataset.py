@@ -25,8 +25,10 @@ from .dsp import (
     Signal,
     band_spectrum,
     bandpass,  # noqa: F401  unused here; perfbench/spans.py patches dataset.bandpass
+    fft_length,
     mel_filterbank,
     mfcc_from_power,
+    parseval_weights,
     power_frames,
     zero_delay_filter,
 )
@@ -497,17 +499,33 @@ def check_segment_length(n_samples: int, cfg: FeatureConfig, sample_rate: float)
         )
 
 
+def _mel_grid(cfg: FeatureConfig, sample_rate: float) -> np.ndarray:
+    """The mel filterbank the feature map applies to cfg's frames at ``sample_rate``."""
+    mc = cfg.mfcc
+    return mel_filterbank(mc.n_mels, fft_length(mc.frame_len(sample_rate)), sample_rate, mc.fmin, mc.fmax)
+
+
+def mel_grid_problem(cfg: FeatureConfig, sample_rate: float) -> str | None:
+    """Why the feature map refuses cfg's mel grid at ``sample_rate``, or None.
+
+    A triangular filter that covers no FFT bin would feed the MFCCs only
+    log-floor noise, so extraction raises this reason and band scan skips
+    the band with it.
+    """
+    mc = cfg.mfcc
+    empty = int(np.sum(_mel_grid(cfg, sample_rate).sum(axis=1) == 0))
+    return (f"band ({float(mc.fmin)}, {float(mc.fmax)}) Hz is too narrow for the mel grid: "
+            f"{empty} of {mc.n_mels} filters cover no FFT bin") if empty else None
+
+
 def _frame_feature_block(filtered: np.ndarray, fs: float, cfg: FeatureConfig) -> dict[str, np.ndarray]:
     """Per-frame feature series of one band-passed mono channel."""
     m = (cfg.taps - 1) // 2
     core = filtered[m : len(filtered) - m]
     mc = cfg.mfcc
     frame_len = mc.frame_len(fs)
-    hop = mc.hop(fs)
-    freqs, power = power_frames(core, fs, frame_len, hop)
-    n_fft = (power.shape[1] - 1) * 2
-    fbank = mel_filterbank(mc.n_mels, n_fft, fs, mc.fmin, mc.fmax)
-    coeffs = mfcc_from_power(power, fbank, mc.n_coeffs, mc.log_floor)
+    freqs, power = power_frames(core, fs, frame_len, mc.hop(fs))
+    coeffs = mfcc_from_power(power, _mel_grid(cfg, fs), mc.n_coeffs, mc.log_floor)
 
     series: dict[str, np.ndarray] = {}
     for j in range(mc.n_coeffs):
@@ -520,13 +538,10 @@ def _frame_feature_block(filtered: np.ndarray, fs: float, cfg: FeatureConfig) ->
         ok = total > 0
         mid = 0.5 * (cfg.band_lo + cfg.band_hi)
         if "rms" in cfg.extra_features:
-            # one-sided Parseval weights; window loss (mean of hann^2
-            # = 3/8) compensated so a stationary tone reads its true rms
-            w = np.full(power.shape[1], 2.0)
-            w[0] = 1.0
-            if n_fft % 2 == 0:
-                w[-1] = 1.0
-            energy = bp @ w[in_band]
+            # window loss (mean of hann^2 = 3/8) compensated so a
+            # stationary tone reads its true rms
+            n_fft = fft_length(frame_len)
+            energy = bp @ parseval_weights(n_fft)[in_band]
             series["rms"] = np.sqrt(energy / (n_fft * frame_len * 0.375))
         if "zero_crossing_rate" in cfg.extra_features:
             mom2 = bp @ (bf**2)
@@ -581,26 +596,33 @@ def _channels(samples: np.ndarray, channel_mode: str) -> list[tuple[str, np.ndar
     return [(f"_ch{c}", samples[:, c]) for c in range(2)]
 
 
-def _segment_features(samples: np.ndarray, fs: float, cfgs: Sequence[FeatureConfig]) -> list[dict[str, float]]:
-    """g of one segment, mono (n,) or two-channel (n, 2) samples at ``fs``
+def _segments_features(segments: Sequence[np.ndarray], fs: float,
+                       cfgs: Sequence[FeatureConfig]) -> list[list[dict[str, float]]]:
+    """g of each segment, mono (n,) or two-channel (n, 2) samples at ``fs``
     Hz, under each config.
 
-    Configs that share taps and channel mode pad each channel the same
-    way, so one zero-delay filtering pass serves all their bands.
+    Each config is checked once, against the shortest segment and its mel
+    grid (:func:`mel_grid_problem`).  Configs that share taps and channel
+    mode pad each channel the same way, so one zero-delay filtering pass
+    serves all their bands.
     """
     for cfg in cfgs:
-        check_segment_length(len(samples), cfg, fs)
+        check_segment_length(min(map(len, segments)), cfg, fs)
+        problem = mel_grid_problem(cfg, fs)
+        if problem:
+            raise ParameterError(problem)
     groups: dict[tuple[int, str], list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault((cfg.taps, cfg.channel_mode), []).append(i)
-    values: list[dict[str, float]] = [{} for _ in cfgs]
-    for (taps, channel_mode), members in groups.items():
-        kernels = [band_spectrum(cfgs[i].band_lo, cfgs[i].band_hi, fs, taps) for i in members]
-        for suffix, x in _channels(samples, channel_mode):
-            for i, filtered in zip(members, zero_delay_filter(x, taps, kernels)):
-                series = _frame_feature_block(filtered, fs, cfgs[i])
-                values[i].update(_aggregate(series, cfgs[i].aggregators, suffix))
-    return values
+    per_segment: list[list[dict[str, float]]] = [[{} for _ in cfgs] for _ in segments]
+    for samples, values in zip(segments, per_segment):
+        for (taps, channel_mode), members in groups.items():
+            kernels = [band_spectrum(cfgs[i].band_lo, cfgs[i].band_hi, fs, taps) for i in members]
+            for suffix, x in _channels(samples, channel_mode):
+                for i, filtered in zip(members, zero_delay_filter(x, taps, kernels)):
+                    series = _frame_feature_block(filtered, fs, cfgs[i])
+                    values[i].update(_aggregate(series, cfgs[i].aggregators, suffix))
+    return per_segment
 
 
 def extract_features(segment: Signal, cfg: FeatureConfig) -> dict[str, float]:
@@ -612,7 +634,7 @@ def extract_features(segment: Signal, cfg: FeatureConfig) -> dict[str, float]:
     outside the band cannot move them.  Values are not checked for
     finiteness here; :func:`extract_tables` checks each table it builds.
     """
-    return _segment_features(segment.samples, segment.sample_rate, [cfg])[0]
+    return _segments_features([segment.samples], segment.sample_rate, [cfg])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +785,7 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
 
     def one_session(rec: SessionRecord) -> list[tuple[dict[str, float], ...]]:
         signal = ingest_wav(manifest.wav_file(rec))
-        per_segment = [_segment_features(seg, signal.sample_rate, cfgs)
-                       for seg in segment_repetitions(signal, rec)]
-        return list(zip(*per_segment))
+        return list(zip(*_segments_features(segment_repetitions(signal, rec), signal.sample_rate, cfgs)))
 
     per_session = pmap(one_session, manifest.sessions)
     n_reps = [len(values[0]) for values in per_session]

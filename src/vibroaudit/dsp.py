@@ -12,6 +12,10 @@ routines of the feature map (:func:`zero_delay_filter`,
 :func:`frame_signal`, :func:`power_frames`) take plain mono sample
 arrays cut from a checked Signal, plus the sample rate where they need
 it, and check them no further.
+
+:func:`fft_length` is the one rule for a frame's transform length, which
+:func:`power_frames` pads to and the feature map's mel grid is built on;
+:func:`parseval_weights` turn one-sided power spectra into frame energy.
 """
 
 from __future__ import annotations
@@ -332,19 +336,23 @@ def stft(signal: Signal, frame_len: int, hop: int) -> Spectrogram:
     )
 
 
+def parseval_weights(n_fft: int) -> np.ndarray:
+    """Energy weight of each one-sided bin of an ``n_fft``-point transform:
+    1 for DC and an even length's Nyquist bin, 2 for the folded pairs."""
+    weights = np.full(n_fft // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n_fft % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def spectral_frame_energy(coeffs: np.ndarray, frame_len: int) -> np.ndarray:
     """Per-frame energy from one-sided spectra (Parseval form).
 
     Equals ``sum(windowed_frame ** 2)`` for each frame up to float
-    rounding; interior bins count twice because the one-sided transform
-    folds conjugate pairs.
+    rounding.
     """
-    power = np.abs(coeffs) ** 2
-    weights = np.full(power.shape[1], 2.0)
-    weights[0] = 1.0
-    if frame_len % 2 == 0:
-        weights[-1] = 1.0
-    return power @ weights / frame_len
+    return np.abs(coeffs) ** 2 @ parseval_weights(frame_len) / frame_len
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +413,18 @@ def dct2_matrix(n: int) -> np.ndarray:
     return _readonly(mat)
 
 
+def fft_length(frame_len: int) -> int:
+    """Transform length of a frame in :func:`power_frames`: the next power of two >= frame_len."""
+    return 1 << (frame_len - 1).bit_length()
+
+
 def power_frames(x: np.ndarray, sample_rate: float, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed per-frame power spectra of a mono sample array.
 
     Returns (bin_freqs, power) with power of shape (n_frames, n_bins).
-    Frames are zero-padded to the next power of two >= frame_len.
+    Frames are zero-padded to :func:`fft_length` of ``frame_len``.
     """
-    n_fft = 1 << (frame_len - 1).bit_length()
+    n_fft = fft_length(frame_len)
     power = np.abs(_hann_rfft(x, frame_len, hop, n_fft)) ** 2
     return np.fft.rfftfreq(n_fft, 1.0 / sample_rate), power
 

@@ -22,7 +22,7 @@ from .._parallel import pmap
 from .._rng import stream, substream_id
 from ..dsp import Signal, apply_fir_zero_delay, design_bandpass_fir
 from ..errors import ParameterError
-from .world import HEALTH_VALUES, WorldSpec, validate_world
+from .world import HEALTH_VALUES, WorldSpec, event_index, event_signs, validate_world
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +255,6 @@ def _tilt_residual(mix: np.ndarray, fs: float, params: dict, device_id: str,
 # session rendering
 
 
-def _event_index(active: list[bool]) -> int:
-    # composite event i has source j active iff bit j of i is clear
-    idx = 0
-    for j, a in enumerate(active):
-        if not a:
-            idx |= 1 << j
-    return idx
-
-
-def _active_from_index(index: int, n_sources: int) -> list[bool]:
-    return [((index >> j) & 1) == 0 for j in range(n_sources)]
-
-
 def _day_level_offsets(world: WorldSpec, n_sessions: int) -> dict[int, np.ndarray]:
     """Per-session level offsets for broadband sources with day_levels.
 
@@ -352,9 +339,9 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
         if channel is None:
             observed = list(active)
         else:
-            col = channel[:, _event_index(active)]
+            col = channel[:, event_index(active)]
             obs_index = int(rng.choice(len(col), p=col / col.sum()))
-            observed = _active_from_index(obs_index, n_src)
+            observed = event_signs(obs_index, n_src)
 
         source_events.append(dict(zip(names, active)))
         observed_events.append(dict(zip(names, observed)))

@@ -45,13 +45,23 @@ class CompositeEvent:
         return tuple(n for n, s in zip(names, self.signs) if s)
 
 
+def event_signs(index: int, n_sources: int) -> tuple[bool, ...]:
+    """Signs of composite event ``index``: source j is active iff bit j
+    of the index is clear."""
+    return tuple(((index >> j) & 1) == 0 for j in range(n_sources))
+
+
+def event_index(signs) -> int:
+    """Index of the composite event with these signs; inverse of :func:`event_signs`."""
+    return sum(1 << j for j, active in enumerate(signs) if not active)
+
+
 def enumerate_composite_events(n_sources: int) -> list[CompositeEvent]:
     """All 2^n_sources pairwise-disjoint composite events.
 
-    Deterministic order: event i has source j active iff bit j of i is
-    clear, so the all-active event comes first and source 0 varies
-    fastest (matching the two-source listing (A,B), (~A,B), (A,~B),
-    (~A,~B)).
+    Deterministic order: event i has the signs :func:`event_signs` gives
+    i, so the all-active event comes first and source 0 varies fastest
+    (matching the two-source listing (A,B), (~A,B), (A,~B), (~A,~B)).
     """
     if n_sources < 0:
         raise ParameterError(f"n_sources must be >= 0, got {n_sources}")
@@ -61,8 +71,7 @@ def enumerate_composite_events(n_sources: int) -> list[CompositeEvent]:
             f"the cap is 2^{MAX_ENUM_SOURCES}"
         )
     return [
-        CompositeEvent(tuple(((i >> j) & 1) == 0 for j in range(n_sources)))
-        for i in range(1 << n_sources)
+        CompositeEvent(event_signs(i, n_sources)) for i in range(1 << n_sources)
     ]
 
 

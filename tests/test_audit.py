@@ -1,5 +1,6 @@
 """Tests for the bias-detection battery."""
 
+import re
 import warnings
 from math import comb
 
@@ -37,8 +38,8 @@ from vibroaudit.audit import (
     uniform_band_plan,
 )
 from vibroaudit._rng import stream, substream_id
-from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, load_manifest
-from vibroaudit.dsp import Signal, stft
+from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, load_manifest, mel_grid_problem
+from vibroaudit.dsp import MfccConfig, Signal, stft
 from vibroaudit.errors import DegeneracyError, ParameterError
 from vibroaudit.learn import loso_cv
 
@@ -141,14 +142,29 @@ class TestBandScan:
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)
         with pytest.raises(ParameterError, match="empty"):
             band_scan(tone_manifest, [], cfg)
-        with pytest.raises(ParameterError, match="0 < lo < hi"):
-            band_scan(tone_manifest, [(1000.0, 500.0)], cfg)
-        with pytest.raises(ParameterError, match="Nyquist"):
-            band_scan(tone_manifest, [(45_000.0, 60_000.0)], cfg)
         with pytest.raises(ParameterError, match="non-overlapping"):
             band_scan(
                 tone_manifest, [(250.0, 10_000.0), (5_000.0, 20_000.0)], cfg
             )
+        # each band's own config and mel grid check its edges
+        with pytest.raises(ParameterError, match=re.escape("need 0 <= fmin < fmax, got (1000.0, 500.0)")):
+            band_scan(tone_manifest, [(1000.0, 500.0)], cfg)
+        with pytest.raises(ParameterError, match=re.escape("need 0 < band_lo < band_hi, got (0.0, 500.0)")):
+            band_scan(tone_manifest, [(0.0, 500.0)], cfg)
+        with pytest.raises(ParameterError, match="fmax=60000.0 exceeds Nyquist 50000.0"):
+            band_scan(tone_manifest, [(45_000.0, 60_000.0)], cfg)
+
+    def test_skip_follows_the_mel_grid_of_a_reused_config(self, tone_manifest):
+        # a band equal to cfg's keeps cfg, so cfg's mel range decides the skip
+        narrow_mel = FeatureConfig(band_lo=250.0, band_hi=10_000.0, mfcc=MfccConfig(fmin=250.0, fmax=400.0))
+        res = band_scan(tone_manifest, [(250.0, 10_000.0)], narrow_mel)
+        assert res.skipped == {0: mel_grid_problem(narrow_mel, 100_000.0)}
+        assert "20 of 26 filters cover no FFT bin" in res.skipped[0]
+        wide_mel = FeatureConfig(band_lo=250.0, band_hi=400.0, mfcc=MfccConfig(fmin=250.0, fmax=10_000.0))
+        res = band_scan(tone_manifest, [(250.0, 400.0)], wide_mel)
+        assert res.skipped == {}
+        plain = loso_cv(extract_table(tone_manifest, wide_mel))
+        assert res.per_band_accuracy[0] == plain.mean_repetition_accuracy
 
     def test_fewer_than_two_subjects_raises(self, tmp_path):
         world = sg.scenario_preset(

@@ -156,6 +156,29 @@ class TestFeatures:
         assert rc == EXIT_ERROR
         assert "sess002" in capsys.readouterr().err
 
+    def test_band_the_mel_grid_cannot_resolve_exits_one(self, tone_dataset, tmp_path, capsys):
+        # 250-400 Hz at 100 kHz: band scan skips it, features refuses it
+        # with the same reason
+        manifest = str(tone_dataset / "manifest.json")
+        scan = tmp_path / "scan"
+        rc = run("audit", "band-scan", "--manifest", manifest,
+                 "--bands", "250-400,30000-40000", "--out", str(scan))
+        assert rc in (EXIT_OK, EXIT_FLAGS)
+        reason = read_report(scan / "report.json")["sections"]["band_scan"]["skipped"]["0"]
+        assert "20 of 26 filters" in reason
+        capsys.readouterr()
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"band_lo": 250.0, "band_hi": 400.0}))
+        out = tmp_path / "features.csv"
+        assert run("features", "--manifest", manifest, "--config", str(cfg_path),
+                   "--out", str(out)) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+        assert run("audit", "condition", "--manifest", manifest, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "condition")) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
 
 class TestAuditSuite:
     def test_tone_bias_suite_raises_flags(self, tone_dataset, tmp_path):

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vibroaudit.dataset as dataset
@@ -23,13 +23,14 @@ from vibroaudit.dataset import (
     extract_tables,
     ingest_wav,
     load_manifest,
+    mel_grid_problem,
     minimum_segment_samples,
     save_manifest,
     segment_repetitions,
     wav_sample_rate,
     write_wav,
 )
-from vibroaudit.dsp import Signal, mfcc_from_power
+from vibroaudit.dsp import MfccConfig, Signal, mel_filterbank, mfcc_from_power, power_frames
 from vibroaudit.errors import FormatError, ManifestError, ParameterError, VibroauditError
 
 FS = 100_000.0
@@ -466,6 +467,50 @@ class TestExtractFeatures:
         vec = extract_features(noise_segment(), cfg)
         assert all(name.endswith("_mean") for name in vec)
 
+    def test_unresolvable_mel_grid_is_refused(self):
+        # at 100 kHz a 20 ms frame has 48.8 Hz bins, wider than most
+        # filters of a 26-filter grid over 250-400 Hz
+        cfg = FeatureConfig(band_lo=250.0, band_hi=400.0)
+        reason = "band (250.0, 400.0) Hz is too narrow for the mel grid: 20 of 26 filters cover no FFT bin"
+        assert mel_grid_problem(cfg, FS) == reason
+        with pytest.raises(ParameterError, match=re.escape(reason)):
+            extract_features(noise_segment(), cfg)
+        # the mel range decides, not the band-pass edges
+        assert mel_grid_problem(FeatureConfig(band_lo=250.0, band_hi=400.0,
+                                              mfcc=MfccConfig(fmin=250.0, fmax=10_000.0)), FS) is None
+        assert mel_grid_problem(FeatureConfig(band_lo=250.0, band_hi=10_000.0,
+                                              mfcc=MfccConfig(fmin=250.0, fmax=400.0)), FS) == reason
+
+    @given(
+        fs=st.sampled_from([8_000.0, 16_000.0, 44_100.0, 100_000.0]),
+        lo_fraction=st.floats(0.001, 0.9),
+        width_fraction=st.floats(1e-4, 1.0),
+        n_mels=st.integers(1, 64),
+        frame_ms=st.floats(0.5, 40.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_problem_iff_the_extracted_grid_has_an_empty_filter(
+            self, fs, lo_fraction, width_fraction, n_mels, frame_ms):
+        lo = lo_fraction * fs / 2
+        hi = lo + width_fraction * (fs / 2 - lo)
+        assume(lo < hi)
+        mfcc = MfccConfig(fmin=lo, fmax=hi, frame_ms=frame_ms, n_mels=n_mels, n_coeffs=1)
+        cfg = FeatureConfig(band_lo=lo, band_hi=hi, mfcc=mfcc)
+        frame_len = mfcc.frame_len(fs)
+        _, power = power_frames(np.zeros(frame_len), fs, frame_len, mfcc.hop(fs))
+        try:
+            # the grid at the bin count that extraction's spectra really have
+            fbank = mel_filterbank(n_mels, (power.shape[1] - 1) * 2, fs, lo, hi)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                mel_grid_problem(cfg, fs)
+            return
+        empty = int(np.sum(~fbank.any(axis=1)))
+        problem = mel_grid_problem(cfg, fs)
+        assert (problem is not None) == (empty > 0)
+        if empty:
+            assert problem.endswith(f": {empty} of {n_mels} filters cover no FFT bin")
+
     def test_default_config_clamps_the_band_to_the_data(self):
         # the config `vibroaudit features` uses without --config
         assert default_feature_config(None) == FeatureConfig(band_lo=250.0, band_hi=10_000.0)
@@ -618,6 +663,19 @@ class TestFeatureTable:
             "feature mfcc03_mean is not finite in session s1, repetition 1: nan"
         )):
             extract_table(manifest, cfg)
+
+    def test_mel_grid_is_checked_once_per_session_and_config(self, tmp_path, monkeypatch):
+        manifest, cfg, _ = toy_table(tmp_path)
+        checked = []
+        original = dataset.mel_grid_problem
+        monkeypatch.setattr(dataset, "mel_grid_problem", lambda c, fs: checked.append(c) or original(c, fs))
+        narrow = FeatureConfig(band_lo=1_000.0, band_hi=3_000.0)
+        extract_tables(manifest, [cfg, narrow])
+        # 3 sessions of 2 repetitions each, 2 configs
+        assert len(checked) == 6
+        unresolvable = FeatureConfig(band_lo=250.0, band_hi=400.0)
+        with pytest.raises(ParameterError, match=re.escape(original(unresolvable, 16_000.0))):
+            extract_tables(manifest, [cfg, unresolvable])
 
     def test_extract_tables_matches_extract_table_per_config(self, tmp_path):
         manifest, cfg, table = toy_table(tmp_path)

@@ -24,7 +24,7 @@ from vibroaudit.sigsynth import (
     write_dataset,
 )
 from vibroaudit.sigsynth.render import plan_cohort
-from vibroaudit.sigsynth.world import HEALTH_VALUES
+from vibroaudit.sigsynth.world import HEALTH_VALUES, event_index
 
 
 def make_world(sources, n_subjects=4, fs=8000.0, seed=0, reps=2, dur=0.5, **kw):
@@ -65,6 +65,8 @@ class TestCompositeEvents:
         events = enumerate_composite_events(4)
         assert len(events) == 16
         assert len({e.signs for e in events}) == 16
+        # the index the renderer looks events up by is their position
+        assert [event_index(e.signs) for e in events] == list(range(16))
 
     def test_partition_sums_to_one(self):
         rng = np.random.default_rng(7)
