@@ -59,7 +59,7 @@ from .dataset import (
     wav_frames,
     wav_sample_rate,
 )
-from .dsp import Spectrogram
+from .dsp import Spectrogram, bandpass_problem
 from .dsp import mel_filterbank  # noqa: F401  unused here; perfbench/spans.py patches audit.mel_filterbank
 from .errors import DegeneracyError, ParameterError
 from .learn import CvResult, loso_accuracies, loso_cv, pca2
@@ -133,10 +133,12 @@ def band_scan(
 
     Each band gets its own band-pass and its own mel analysis range, so
     the per-band accuracy reflects only information inside that band; a
-    band equal to cfg's keeps cfg, mel range included.  A band whose mel
-    grid the feature map refuses (:func:`~vibroaudit.dataset.mel_grid_problem`)
-    is skipped with that reason.  Each session is read and segmented once
-    for all bands.
+    band equal to cfg's keeps cfg, mel range included.  A band the feature
+    map refuses, because its band-pass edge lies above Nyquist
+    (:func:`~vibroaudit.dsp.bandpass_problem`) or its mel grid cannot
+    resolve it (:func:`~vibroaudit.dataset.mel_grid_problem`), is skipped
+    with that reason before any session is read.  Each session is read and
+    segmented once for all bands.
     """
     if len({rec.subject_id for rec in manifest.sessions}) < 2:
         raise ParameterError("band scan needs >= 2 subjects")
@@ -150,7 +152,8 @@ def band_scan(
     # the mel grids built below)
     check_segment_length(wav_frames(first), cfg, fs)
 
-    problems = [mel_grid_problem(c, fs) for c in band_cfgs]
+    problems = [bandpass_problem(c.band_lo, c.band_hi, fs, c.taps) or mel_grid_problem(c, fs)
+                for c in band_cfgs]
     scored = [i for i, problem in enumerate(problems) if not problem]
     tables = extract_tables(manifest, [band_cfgs[i] for i in scored])
     cvs = {i: loso_cv(t, group_key=group_key, target=target) for i, t in zip(scored, tables)}

@@ -232,9 +232,9 @@ def cmd_synth(args) -> int:
         n_repetitions=args.repetitions,
         repetition_duration_s=args.duration,
     )
-    sessions = sample_cohort(world)
-    manifest_path = write_dataset(sessions, args.out, world)
-    print(f"wrote {len(sessions)} sessions to {manifest_path}")
+    # sessions are rendered as write_dataset consumes them
+    manifest_path = write_dataset(sample_cohort(world), args.out, world)
+    print(f"wrote {len(load_manifest(manifest_path).sessions)} sessions to {manifest_path}")
     return EXIT_OK
 
 

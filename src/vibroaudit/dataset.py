@@ -25,6 +25,7 @@ from .dsp import (
     Signal,
     band_spectrum,
     bandpass,  # noqa: F401  unused here; perfbench/spans.py patches dataset.bandpass
+    bandpass_problem,
     fft_length,
     mel_filterbank,
     mfcc_from_power,
@@ -296,28 +297,31 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
     """Write a Signal as RIFF/WAVE.
 
     float32 keeps synthesis bit-exact across a write/read round trip;
-    pcm16 is provided for interoperability and clips to full scale.
+    pcm16 is provided for interoperability and clips to full scale.  The
+    header and the encoded samples are written one after the other, never
+    joined into one buffer.
     """
     x = signal.samples if signal.channels == 2 else signal.samples[:, None]
     if encoding == "float32":
-        body = x.astype("<f4").tobytes()
+        body = x.astype("<f4", order="C")
         audio_format, bits = 3, 32
     elif encoding == "pcm16":
-        clipped = np.clip(np.round(x * 32768.0), -32768, 32767)
-        body = clipped.astype("<i2").tobytes()
+        body = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2", order="C")
         audio_format, bits = 1, 16
     else:
         raise ParameterError(f"unsupported wav encoding {encoding!r}")
     n_channels = x.shape[1]
     sample_rate = int(round(signal.sample_rate))
     block_align = n_channels * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + body.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, audio_format, n_channels, sample_rate,
         sample_rate * block_align, block_align, bits,
     )
-    header += b"data" + struct.pack("<I", len(body))
-    Path(path).write_bytes(header + body)
+    header += b"data" + struct.pack("<I", body.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body.data)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +786,13 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
         raise ParameterError("cannot build a feature table from zero sessions")
     if not cfgs:
         return []
+    # a band-pass edge above the first recording's Nyquist fails before
+    # any recording is read
+    fs = wav_sample_rate(manifest.wav_file(manifest.sessions[0]))
+    for cfg in cfgs:
+        problem = bandpass_problem(cfg.band_lo, cfg.band_hi, fs, cfg.taps)
+        if problem:
+            raise ParameterError(problem)
 
     def one_session(rec: SessionRecord) -> list[tuple[dict[str, float], ...]]:
         signal = ingest_wav(manifest.wav_file(rec))

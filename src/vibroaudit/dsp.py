@@ -155,14 +155,23 @@ class MfccConfig:
 # band-pass filtering
 
 
-def _check_band(lo: float, hi: float, sample_rate: float, taps: int) -> None:
+def bandpass_problem(lo: float, hi: float, sample_rate: float, taps: int) -> str | None:
+    """Why :func:`design_bandpass_fir` refuses (lo, hi, taps) at
+    ``sample_rate``, or None."""
     nyq = sample_rate / 2.0
     if not (0 < lo < hi):
-        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+        return f"need 0 < lo < hi, got lo={lo}, hi={hi}"
     if hi > nyq:
-        raise ParameterError(f"hi={hi} exceeds Nyquist {nyq}")
+        return f"hi={hi} exceeds Nyquist {nyq}"
     if taps < 3 or taps % 2 == 0:
-        raise ParameterError(f"taps must be an odd integer >= 3, got {taps}")
+        return f"taps must be an odd integer >= 3, got {taps}"
+    return None
+
+
+def _check_band(lo: float, hi: float, sample_rate: float, taps: int) -> None:
+    problem = bandpass_problem(lo, hi, sample_rate, taps)
+    if problem:
+        raise ParameterError(problem)
 
 
 def design_bandpass_fir(lo: float, hi: float, sample_rate: float, taps: int = DEFAULT_BANDPASS_TAPS) -> np.ndarray:
@@ -250,13 +259,24 @@ def zero_delay_filter(x: np.ndarray, taps: int,
             for kernel in kernels]
 
 
-def apply_fir_zero_delay(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`zero_delay_filter` of a mono sample array with one explicit
-    odd-length linear-phase FIR ``h``."""
+def fir_spectrum(h: np.ndarray) -> Callable[[int], np.ndarray]:
+    """An explicit FIR ``h`` as :func:`zero_delay_filter` takes it.
+
+    The spectrum at each transform length is computed once and kept, read
+    only, by the returned function (not in a module cache), so one FIR
+    applied to many equal-length arrays is transformed once.
+    """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1:
         raise ParameterError("zero-delay filtering needs a 1-D kernel")
-    return zero_delay_filter(x, len(h), [partial(sp_fft.rfft, h)])[0]
+    spectra: dict[int, np.ndarray] = {}
+
+    def kernel(n_fft: int) -> np.ndarray:
+        if n_fft not in spectra:
+            spectra[n_fft] = _readonly(sp_fft.rfft(h, n_fft))
+        return spectra[n_fft]
+
+    return kernel
 
 
 def bandpass(signal: Signal, lo: float, hi: float, taps: int = DEFAULT_BANDPASS_TAPS) -> Signal:

@@ -62,12 +62,9 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, never overflowing
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> np.ndarray:
@@ -120,8 +117,10 @@ def _newton_stack(
     n_iter = np.full(G, max(max_iter, 0))
     live = np.arange(G)  # fits still iterating, and their stacks
     A, Y, th = Xa, y, theta.copy()
+    # each live fit's scores and loss at th, carried from its accepted step
+    z = _matvec(A, th)
+    loss = _loss(z, Y, th[:, :d], l2)
     for it in range(1, max_iter + 1):
-        z = _matvec(A, th)
         prob = _sigmoid(z)
         grad = _matvec(np.swapaxes(A, 1, 2), prob - Y) / n + reg * th
         done = np.max(np.abs(grad), axis=1) < tol
@@ -133,26 +132,30 @@ def _newton_stack(
             live, A, Y, th = live[go], A[go], Y[go], th[go]
             if live.size == 0:
                 break
-            z, prob, grad = z[go], prob[go], grad[go]
+            z, loss, prob, grad = z[go], loss[go], prob[go], grad[go]
         r = prob * (1.0 - prob)
         hess = np.swapaxes(A * r[:, :, None], 1, 2) @ A / n + ridge
         step = _newton_steps(hess, grad)
         # Armijo backtracking on the regularized loss, one step size per fit
-        base = _loss(z, Y, th[:, :d], l2)
         slope = _rowdot(grad, step)
         t = np.ones(live.size)
         trying = np.arange(live.size)
         for _ in range(60):
             sub = slice(None) if trying.size == live.size else trying
             cand = th[sub] - t[sub, None] * step[sub]
-            ok = _loss(_matvec(A[sub], cand), Y[sub], cand[:, :d], l2) <= (
-                base[sub] - 1e-4 * t[sub] * slope[sub]
-            )
+            z_cand = _matvec(A[sub], cand)
+            loss_cand = _loss(z_cand, Y[sub], cand[:, :d], l2)
+            ok = loss_cand <= loss[sub] - 1e-4 * t[sub] * slope[sub]
+            z[trying[ok]] = z_cand[ok]
+            loss[trying[ok]] = loss_cand[ok]
             trying = trying[~ok]
             if trying.size == 0:
                 break
             t[trying] *= 0.5
         th = th - t[:, None] * step
+        if trying.size:  # 60 halvings, none accepted: score the last one
+            z[trying] = _matvec(A[trying], th[trying])
+            loss[trying] = _loss(z[trying], Y[trying], th[trying, :d], l2)
     theta[live] = th
     return theta, converged, n_iter
 

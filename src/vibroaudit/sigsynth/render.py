@@ -7,6 +7,10 @@ order is fixed: session-scope activations and tone phases first, then
 per repetition the repetition-scope activations, the observation draw,
 and finally the renderer draws for observed sources in source order;
 the sensor noise for the whole session is drawn last.
+
+A cohort is rendered lazily, a batch of ``worker_count()`` sessions at a
+time, and :func:`write_dataset` writes each session as it arrives, so
+synthesis holds about one session per worker in memory, not the cohort.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.signal import firwin2
 
-from .._parallel import pmap
+from .._parallel import pmap, worker_count
 from .._rng import stream, substream_id
-from ..dsp import Signal, apply_fir_zero_delay, design_bandpass_fir
+from ..dataset import Manifest, SessionRecord, save_manifest, write_wav
+from ..dsp import Signal, design_bandpass_fir, fir_spectrum, zero_delay_filter
 from ..errors import ParameterError
-from .world import HEALTH_VALUES, WorldSpec, event_index, event_signs, validate_world
+from .world import HEALTH_VALUES, BaseSource, WorldSpec, event_index, event_signs, validate_world
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +201,6 @@ def _render_tone(n: int, fs: float, params: dict, phase: float, abs_start: int) 
     return amp * np.sin(2.0 * np.pi * freq * t + phase)
 
 
-def _render_broadband(rng: np.random.Generator, n: int, fs: float, params: dict,
-                      level_db: float) -> np.ndarray:
-    """White Gaussian bed; an optional band (lo, hi) colors it by the
-    shared zero-delay band-pass so the level applies pre-filter."""
-    sigma = 10.0 ** (level_db / 20.0)
-    wave = rng.normal(0.0, sigma, size=n)
-    band = params.get("band")
-    if band is not None:
-        lo, hi = float(band[0]), float(band[1])
-        h = design_bandpass_fir(lo, hi, fs, int(params.get("taps", 513)))
-        wave = apply_fir_zero_delay(wave, h)
-    return wave
-
-
 def _tilt_taps(slope_db_per_khz: float, fs: float, ref_hz: float, ntaps: int,
                bump: tuple[float, float, float] | None = None) -> np.ndarray:
     """Linear-phase FIR shaping the spectrum by a dB-per-kHz tilt.
@@ -227,28 +219,31 @@ def _tilt_taps(slope_db_per_khz: float, fs: float, ref_hz: float, ntaps: int,
     return firwin2(ntaps, freqs, 10.0 ** (gains_db / 20.0), fs=fs)
 
 
-def _tilt_residual(mix: np.ndarray, fs: float, params: dict, device_id: str,
-                   unhealthy: bool) -> np.ndarray:
-    """Device coloration as an additive residual F(mix) - mix.
+def _source_fir(src: BaseSource, fs: float, device_id: str, unhealthy: bool) -> np.ndarray:
+    """The FIR a filtering source applies in one session.
 
-    Kept as a residual component so the session mixture is still an
-    exact sum of per-source components plus noise.
+    A broadband source with a band is colored by the shared zero-delay
+    band-pass.  A device-tilt source shapes the mixture of everything else
+    by its device's slope (plus the health delta on its delta device) and
+    bump; it enters the mixture as the additive residual F(mix) - mix, so
+    the session mixture is still an exact sum of per-source components
+    plus noise.
     """
-    slopes = params.get("slopes_db_per_khz", {})
-    if device_id not in slopes:
-        raise ParameterError(f"device-tilt source has no slope for device {device_id!r}")
-    slope = float(slopes[device_id])
+    params = src.waveform_params
+    if src.kind == "broadband":
+        lo, hi = (float(v) for v in params["band"])
+        return design_bandpass_fir(lo, hi, fs, int(params.get("taps", 513)))
+    slope = float(params["slopes_db_per_khz"][device_id])
     if unhealthy and device_id == params.get("health_delta_device"):
         slope += float(params.get("health_delta_db_per_khz", 0.0))
     bump = params.get("bumps", {}).get(device_id)
-    h = _tilt_taps(
+    return _tilt_taps(
         slope,
         fs,
         float(params.get("ref_hz", 1000.0)),
         int(params.get("ntaps", 129)),
         bump=None if bump is None else tuple(float(v) for v in bump),
     )
-    return apply_fir_zero_delay(mix, h) - mix
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +309,17 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
     if world.sensor_channel is not None:
         channel = np.asarray(world.sensor_channel, dtype=np.float64)
 
+    # each source's FIR is designed, and its spectrum computed, once per
+    # session: device and health, which choose it, are fixed per session
+    firs: dict[int, tuple[int, Callable[[int], np.ndarray]]] = {}
+
+    def filtered(j: int, x: np.ndarray) -> np.ndarray:
+        if j not in firs:
+            h = _source_fir(sources[j], fs, plan.device_id, unhealthy)
+            firs[j] = len(h), fir_spectrum(h)
+        taps, kernel = firs[j]
+        return zero_delay_filter(x, taps, [kernel])[0]
+
     components = {name: np.zeros(total) for name in names}
     source_events: list[dict[str, bool]] = []
     observed_events: list[dict[str, bool]] = []
@@ -367,15 +373,15 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
                 level = float(src.waveform_params.get("level_db", -40.0))
                 if j in day_offsets:
                     level += float(day_offsets[j][plan.session_index])
-                wave = _render_broadband(rng, rep_len, fs, src.waveform_params, level)
+                wave = rng.normal(0.0, 10.0 ** (level / 20.0), size=rep_len)
+                if src.waveform_params.get("band") is not None:
+                    wave = filtered(j, wave)
             components[names[j]][sl] = wave
             mix_rep += wave
 
         # tilt acts on the mixture of everything else in this repetition
         for j in tilt_indices:
-            components[names[j]][sl] = _tilt_residual(
-                mix_rep, fs, sources[j].waveform_params, plan.device_id, unhealthy,
-            )
+            components[names[j]][sl] = filtered(j, mix_rep) - mix_rep
 
         for j, name in enumerate(names):
             if observed[j]:
@@ -386,16 +392,19 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
         knee_amps.append(rep_click_amps)
 
     noise = rng.normal(0.0, 10.0 ** (world.sensor_noise_db / 20.0), size=total)
-    mixture = noise.copy()
+    noise_rms = float(np.sqrt(np.mean(noise * noise)))
+    # without kept components the mixture is summed into the noise array,
+    # each component released as it is added
+    mixture = noise.copy() if keep_components else noise
     for name in names:
-        mixture += components[name]
+        mixture += components[name] if keep_components else components.pop(name)
 
     truth = GroundTruth(
         source_events=source_events,
         observed_events=observed_events,
         component_rms=component_rms,
         knee_click_amplitudes=knee_amps,
-        sensor_noise_rms=float(np.sqrt(np.mean(noise * noise))),
+        sensor_noise_rms=noise_rms,
         components=components if keep_components else None,
         sensor_noise=noise if keep_components else None,
     )
@@ -412,41 +421,63 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
     )
 
 
-def sample_cohort(world: WorldSpec, *, keep_components: bool = False) -> list[RecordingSession]:
-    """Render every session of a world.
+def sample_cohort(world: WorldSpec, *, keep_components: bool = False) -> Iterator[RecordingSession]:
+    """Render every session of a world, lazily, in plan order.
 
-    Returns sessions in plan order.  Pass keep_components=True to retain
-    the per-source waveforms and the noise floor in each ground truth
-    (memory scales with sources x session length; the summary RMS values
-    are always recorded).
+    The world is validated and the cohort planned at the call; sessions
+    are rendered as the result is iterated, ``worker_count()`` at a time,
+    so memory holds one session per worker, not the cohort.  Iterate once,
+    or take ``list(...)`` to keep every session.  Pass keep_components=True
+    to retain the per-source waveforms and the noise floor in each ground
+    truth (memory scales with sources x session length; the summary RMS
+    values are always recorded).
     """
     validate_world(world)
     plans = plan_cohort(world)
     day_offsets = _day_level_offsets(world, len(plans))
-    return pmap(
-        lambda plan: _render_session(world, plan, day_offsets, keep_components),
-        plans,
-    )
+    return _render_batches(world, plans, day_offsets, keep_components)
+
+
+def _render_batches(world: WorldSpec, plans: list[_PlannedSession],
+                    day_offsets: dict[int, np.ndarray],
+                    keep_components: bool) -> Iterator[RecordingSession]:
+    step = worker_count()
+    for start in range(0, len(plans), step):
+        yield from pmap(
+            lambda plan: _render_session(world, plan, day_offsets, keep_components),
+            plans[start:start + step],
+        )
 
 
 # ---------------------------------------------------------------------------
 # dataset export
 
 
-def write_dataset(sessions: list[RecordingSession], out_dir, world: WorldSpec) -> Path:
+def write_dataset(sessions: Iterable[RecordingSession], out_dir, world: WorldSpec) -> Path:
     """Write float32 WAVs, manifest.json and ground_truth.json.
 
+    ``sessions`` may be any iterable, such as the lazy one
+    :func:`sample_cohort` returns: each WAV is written as its session
+    arrives, and only the session's manifest record and ground-truth
+    entry are kept.  manifest.json and ground_truth.json are written after
+    the last WAV, and any left by an earlier export are removed first, so
+    a render that fails part way leaves no manifest beside its WAVs.
     Output bytes are deterministic for a given (world, sessions) pair:
     JSON is dumped with sorted keys and WAV samples are float32 exact.
     Returns the manifest path.
     """
-    from ..dataset import Manifest, SessionRecord, save_manifest, write_wav
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    truth_path = out_dir / "ground_truth.json"
+    for stale in (manifest_path, truth_path):
+        stale.unlink(missing_ok=True)
 
     records = []
     truth_sessions: dict[str, dict] = {}
+    # the loop holds each session until the next one arrives, and so keeps
+    # the allocator from handing the memory the session's render freed back
+    # to the OS: the next render reuses it instead of faulting in fresh pages
     for sess in sessions:
         wav_name = f"{sess.session_id}.wav"
         write_wav(out_dir / wav_name, sess.signal, encoding="float32")
@@ -482,10 +513,9 @@ def write_dataset(sessions: list[RecordingSession], out_dir, world: WorldSpec) -
             "sensor_noise_rms": truth.sensor_noise_rms,
         }
 
-    manifest_path = out_dir / "manifest.json"
     save_manifest(Manifest(sessions=records, root=out_dir), manifest_path)
     truth_payload = {"world": world.to_json_dict(), "sessions": truth_sessions}
-    (out_dir / "ground_truth.json").write_text(
+    truth_path.write_text(
         json.dumps(truth_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return manifest_path

@@ -304,6 +304,17 @@ def validate_world(world: WorldSpec) -> None:
                 raise ParameterError(
                     f"source {src.name}: forced subject index {idx} outside cohort"
                 )
+    tilts = [src for src in world.base_sources if src.kind == "device-tilt"]
+    if tilts:
+        from .render import plan_cohort  # render builds on this module
+
+        devices = sorted({plan.device_id for plan in plan_cohort(world)})
+        for src in tilts:
+            missing = [d for d in devices if d not in src.waveform_params.get("slopes_db_per_khz", {})]
+            if missing:
+                raise ParameterError(
+                    f"source {src.name}: device-tilt source has no slope for device {missing[0]!r}"
+                )
     if not world.causal_link_enabled:
         knee = world.base_sources[world.knee_source_index()]
         if knee.waveform_params.get("health_effect", False):

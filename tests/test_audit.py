@@ -151,8 +151,23 @@ class TestBandScan:
             band_scan(tone_manifest, [(1000.0, 500.0)], cfg)
         with pytest.raises(ParameterError, match=re.escape("need 0 < band_lo < band_hi, got (0.0, 500.0)")):
             band_scan(tone_manifest, [(0.0, 500.0)], cfg)
-        with pytest.raises(ParameterError, match="fmax=60000.0 exceeds Nyquist 50000.0"):
-            band_scan(tone_manifest, [(45_000.0, 60_000.0)], cfg)
+        # a band above Nyquist is skipped, like one the mel grid cannot resolve
+        res = band_scan(tone_manifest, [(45_000.0, 60_000.0)], cfg)
+        assert res.skipped == {0: "hi=60000.0 exceeds Nyquist 50000.0"}
+
+    def test_band_pass_edge_above_nyquist_is_skipped_before_any_read(self, tone_manifest, monkeypatch):
+        # the mel range of the reused config is below Nyquist; only the
+        # band-pass edge is not
+        cfg = FeatureConfig(band_lo=250.0, band_hi=60_000.0, mfcc=MfccConfig(fmin=250.0, fmax=10_000.0))
+        reads = []
+        original = dataset.ingest_wav
+        monkeypatch.setattr(dataset, "ingest_wav", lambda path: reads.append(path) or original(path))
+        res = band_scan(tone_manifest, [(250.0, 60_000.0)], cfg)
+        assert res.skipped == {0: "hi=60000.0 exceeds Nyquist 50000.0"}
+        assert reads == []
+        with pytest.raises(ParameterError, match="hi=60000.0 exceeds Nyquist 50000.0"):
+            extract_table(tone_manifest, cfg)
+        assert reads == []
 
     def test_skip_follows_the_mel_grid_of_a_reused_config(self, tone_manifest):
         # a band equal to cfg's keeps cfg, so cfg's mel range decides the skip

@@ -179,6 +179,32 @@ class TestFeatures:
                    "--out", str(tmp_path / "condition")) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {reason}\n"
 
+    def test_band_pass_edge_above_nyquist_exits_one_before_any_read(
+            self, tone_dataset, tmp_path, capsys, monkeypatch):
+        import vibroaudit.dataset as dataset
+
+        reads = []
+        original = dataset.ingest_wav
+        monkeypatch.setattr(dataset, "ingest_wav", lambda path: reads.append(path) or original(path))
+        manifest = str(tone_dataset / "manifest.json")
+        scan = tmp_path / "scan"
+        rc = run("audit", "band-scan", "--manifest", manifest,
+                 "--bands", "250-60000", "--out", str(scan))
+        assert rc in (EXIT_OK, EXIT_FLAGS)
+        reason = read_report(scan / "report.json")["sections"]["band_scan"]["skipped"]["0"]
+        assert reason == "hi=60000.0 exceeds Nyquist 50000.0"
+        capsys.readouterr()
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"band_lo": 250.0, "band_hi": 60_000.0,
+                                        "mfcc": {"fmin": 250.0, "fmax": 10_000.0}}))
+        out = tmp_path / "features.csv"
+        assert run("features", "--manifest", manifest, "--config", str(cfg_path),
+                   "--out", str(out)) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+        assert reads == []
+
 
 class TestAuditSuite:
     def test_tone_bias_suite_raises_flags(self, tone_dataset, tmp_path):

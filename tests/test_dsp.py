@@ -18,12 +18,12 @@ from vibroaudit.dsp import (
     MfccConfig,
     Signal,
     Spectrogram,
-    apply_fir_zero_delay,
     band_spectrum,
     bandpass,
     dct2_matrix,
     design_bandpass_fir,
     fir_response_db,
+    fir_spectrum,
     frame_signal,
     hz_to_mel,
     mel_filterbank,
@@ -235,7 +235,11 @@ class TestZeroDelayFilter:
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         h = rng.normal(size=129)
-        np.testing.assert_array_equal(apply_fir_zero_delay(x, h), self.reference(x, h))
+        kernel = fir_spectrum(h)
+        np.testing.assert_array_equal(zero_delay_filter(x, len(h), [kernel])[0], self.reference(x, h))
+        # the kept spectrum serves a second array of the same length
+        np.testing.assert_array_equal(zero_delay_filter(x[::-1], len(h), [kernel])[0],
+                                      self.reference(x[::-1], h))
 
     def test_empty_input_gives_one_empty_output_per_kernel(self):
         kernels = [band_spectrum(lo, hi, FS, 513) for lo, hi in self.BANDS]

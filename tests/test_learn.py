@@ -336,7 +336,110 @@ def reference_fit(X, labels, l2=1e-3, max_iter=5000, tol=1e-8):
     return theta, False, it
 
 
+def recomputing_stack(Xa, y, l2, max_iter, tol):
+    """The stacked kernel as it was before it carried the accepted line-search
+    state: scores and loss recomputed at the top of every iteration, and a
+    sigmoid by boolean gathers.  Also returns how many candidate steps were
+    halved and how many line searches ran out of halvings."""
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    G, n, p = Xa.shape
+    d = p - 1
+    reg = np.concatenate([np.full(d, l2), [0.0]])
+    ridge = np.diag(reg + 1e-12)
+    theta = np.zeros((G, p))
+    converged = np.zeros(G, dtype=bool)
+    n_iter = np.full(G, max(max_iter, 0))
+    halved = exhausted = 0
+    live = np.arange(G)
+    A, Y, th = Xa, y, theta.copy()
+    for it in range(1, max_iter + 1):
+        z = learn._matvec(A, th)
+        prob = sigmoid(z)
+        grad = learn._matvec(np.swapaxes(A, 1, 2), prob - Y) / n + reg * th
+        done = np.max(np.abs(grad), axis=1) < tol
+        if done.any():
+            converged[live[done]] = True
+            n_iter[live[done]] = it
+            theta[live[done]] = th[done]
+            go = ~done
+            live, A, Y, th = live[go], A[go], Y[go], th[go]
+            if live.size == 0:
+                break
+            z, prob, grad = z[go], prob[go], grad[go]
+        r = prob * (1.0 - prob)
+        hess = np.swapaxes(A * r[:, :, None], 1, 2) @ A / n + ridge
+        step = learn._newton_steps(hess, grad)
+        base = learn._loss(z, Y, th[:, :d], l2)
+        slope = learn._rowdot(grad, step)
+        t = np.ones(live.size)
+        trying = np.arange(live.size)
+        for _ in range(60):
+            sub = slice(None) if trying.size == live.size else trying
+            cand = th[sub] - t[sub, None] * step[sub]
+            ok = learn._loss(learn._matvec(A[sub], cand), Y[sub], cand[:, :d], l2) <= (
+                base[sub] - 1e-4 * t[sub] * slope[sub]
+            )
+            trying = trying[~ok]
+            if trying.size == 0:
+                break
+            halved += trying.size
+            t[trying] *= 0.5
+        exhausted += trying.size
+        th = th - t[:, None] * step
+    theta[live] = th
+    return theta, converged, n_iter, halved, exhausted
+
+
 class TestStackedKernel:
+    @pytest.mark.parametrize("l2, max_iter, tol", [
+        (1e-3, 50, 1e-8),     # staggered convergence
+        (0.0, 100, 1e-8),     # the first design backtracks
+        (1e-3, 8, 1e-8),      # max_iter stops the slower fits
+        (1e-3, 40, 0.0),      # no fit converges
+    ])
+    def test_carried_line_search_state_matches_recomputing_it(self, l2, max_iter, tol):
+        labels = np.array(list("ababbbbaba"), dtype=object)
+        # the design of test_each_fit_in_a_stack_backtracks_on_its_own
+        hard = np.array([
+            [-103.4, 111.8], [-2.5, 1.3], [0.4, 0.5], [0.3, 0.2], [0.7, 0.2],
+            [-0.7, 0.8], [-6.1, -6.8], [0.6, 4.0], [0.3, 0.2], [0.3, 0.5],
+        ])
+        rng = np.random.default_rng(3)
+        designs = [hard]
+        for g in range(11):
+            # from overlapping classes to separable ones
+            X = rng.normal(size=hard.shape)
+            X[:, 0] += (g / 3.0) * (labels == "b")
+            designs.append(X)
+        Xa = np.stack([_prepare(X, labels).Xa for X in designs])
+        y = np.stack([_prepare(X, labels).y for X in designs])
+        # a non-finite design never passes the Armijo test: every line
+        # search of its fit runs out of halvings
+        Xa[5, 3, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            theta, converged, n_iter = learn._newton_stack(Xa, y, l2, max_iter, tol)
+            want, want_converged, want_iter, halved, exhausted = recomputing_stack(
+                Xa, y, l2, max_iter, tol)
+        np.testing.assert_array_equal(theta, want)
+        np.testing.assert_array_equal(converged, want_converged)
+        np.testing.assert_array_equal(n_iter, want_iter)
+        assert exhausted == max_iter and not converged[5]
+        if max_iter == 50:
+            assert converged.sum() == 11 and len(set(n_iter[converged].tolist())) > 3
+        if l2 == 0.0:
+            assert halved > 60 * exhausted  # halvings besides the exhausted ones
+        if max_iter == 8:
+            assert 1 < (~converged).sum() < len(converged)
+        if tol == 0.0:
+            assert not converged.any()
+
     def test_fit_linear_matches_the_unbatched_loop(self):
         table = ragged_table()
         subjects = table.labels["subject"]

@@ -1,6 +1,7 @@
 """Tests for the synthetic world model, rendering and exact posteriors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from vibroaudit.sigsynth import (
     validate_world,
     write_dataset,
 )
+from vibroaudit.sigsynth import render
 from vibroaudit.sigsynth.render import plan_cohort
 from vibroaudit.sigsynth.world import HEALTH_VALUES, event_index
 
@@ -163,6 +165,19 @@ class TestWorldValidation:
         with pytest.raises(ParameterError, match="health_effect"):
             validate_world(w)
 
+    def test_device_tilt_needs_a_slope_for_every_planned_device(self):
+        def tilt_world(n_subjects):
+            tilt = BaseSource(
+                "tilt", "device-tilt", {"Healthy": 1.0, "Unhealthy": 1.0},
+                {"slopes_db_per_khz": {"DL": 0.25}}, activation_scope="session",
+            )
+            return make_world([quiet_knee(), tilt], n_subjects=n_subjects, reps=1, dur=0.1)
+
+        # one subject plays only the left side, side-locked to DL
+        validate_world(tilt_world(1))
+        with pytest.raises(ParameterError, match="no slope for device 'DR'"):
+            validate_world(tilt_world(2))
+
     def test_sensor_channel_shape_and_columns(self):
         w = make_world([quiet_knee()], sensor_channel=np.eye(4))
         with pytest.raises(ParameterError, match="shape"):
@@ -263,7 +278,7 @@ class TestRendering:
             {"freq": 440.0, "amp": 0.05}, activation_scope="session",
         )
         w = make_world([quiet_knee(active=0.0), tone], n_subjects=1, reps=3, dur=0.5)
-        sess = sample_cohort(w, keep_components=True)[0]
+        sess = list(sample_cohort(w, keep_components=True))[0]
         c = sess.ground_truth.components["hum"]
         # a pure sinusoid obeys x[n+1] + x[n-1] = 2 cos(w) x[n] everywhere,
         # including across repetition boundaries
@@ -307,7 +322,7 @@ class TestPresets:
     def test_tone_bias_prevalence(self):
         w = scenario_preset("tone-bias", seed=3, n_repetitions=1,
                             repetition_duration_s=0.25)
-        sessions = sample_cohort(w)
+        sessions = list(sample_cohort(w))
         by_health = {"Healthy": 0, "Unhealthy": 0}
         totals = {"Healthy": 0, "Unhealthy": 0}
         for s in sessions:
@@ -384,7 +399,7 @@ class TestDatasetExport:
     def test_wavs_manifest_and_truth(self, tmp_path):
         w = scenario_preset("tone-bias", seed=6, n_subjects=4,
                             n_repetitions=2, repetition_duration_s=0.25)
-        sessions = sample_cohort(w)
+        sessions = list(sample_cohort(w))
         manifest_path = write_dataset(sessions, tmp_path / "ds", w)
         man = load_manifest(manifest_path)
         assert len(man.sessions) == 4
@@ -413,6 +428,68 @@ class TestDatasetExport:
         wav1 = (tmp_path / "a" / "sess000.wav").read_bytes()
         wav2 = (tmp_path / "b" / "sess000.wav").read_bytes()
         assert wav1 == wav2
+
+
+class TestStreamingSynthesis:
+    def test_each_wav_is_written_before_later_sessions_render(self, tmp_path, monkeypatch):
+        w = scenario_preset("tone-bias", seed=0, n_subjects=7, n_repetitions=1,
+                            repetition_duration_s=0.05)
+        out = tmp_path / "ds"
+        on_disk = {}
+        original = render._render_session
+
+        def recording(world, plan, *args):
+            on_disk[plan.session_index] = sorted(p.name for p in out.glob("*.wav"))
+            return original(world, plan, *args)
+
+        monkeypatch.setattr(render, "_render_session", recording)
+        sessions = sample_cohort(w)
+        assert on_disk == {}  # nothing renders until the sessions are consumed
+        write_dataset(sessions, out, w)
+        # sessions render worker_count() at a time; a batch starts once
+        # every earlier session's WAV is on disk
+        batch = render.worker_count()
+        assert on_disk == {i: [f"sess{j:03d}.wav" for j in range(i - i % batch)] for i in range(7)}
+
+    def test_memory_does_not_grow_with_the_cohort(self, tmp_path, monkeypatch):
+        # one worker: with several, how their transients overlap, and so
+        # the peak, varies from run to run
+        monkeypatch.setenv("VIBROAUDIT_THREADS", "1")
+
+        def peak(n_subjects):
+            w = scenario_preset("tone-bias", seed=0, n_subjects=n_subjects, n_repetitions=2,
+                                repetition_duration_s=0.25)
+            tracemalloc.start()
+            try:
+                write_dataset(sample_cohort(w), tmp_path / str(n_subjects), w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: lazy imports and caches
+        session_bytes = 2 * 25_000 * 8  # one float64 mixture: 2 x 0.25 s at 100 kHz
+        assert peak(8) - peak(2) < session_bytes
+
+    def test_failed_render_leaves_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VIBROAUDIT_THREADS", "1")
+        w = scenario_preset("tone-bias", seed=0, n_subjects=4, n_repetitions=1,
+                            repetition_duration_s=0.05)
+        out = tmp_path / "ds"
+        write_dataset(sample_cohort(w), out, w)
+        original = render._render_session
+
+        def failing(world, plan, *args):
+            if plan.session_index == 2:
+                raise ParameterError("render failed")
+            return original(world, plan, *args)
+
+        monkeypatch.setattr(render, "_render_session", failing)
+        (out / "sess000.wav").unlink()
+        with pytest.raises(ParameterError, match="render failed"):
+            write_dataset(sample_cohort(w), out, w)
+        assert (out / "sess000.wav").exists()
+        assert not (out / "manifest.json").exists()
+        assert not (out / "ground_truth.json").exists()
 
 
 class TestExactPosterior:
