@@ -54,12 +54,12 @@ from .dataset import (
     check_segment_length,
     extract_table,  # noqa: F401  unused here; perfbench/spans.py patches audit.extract_table
     extract_tables,
+    feature_map_problem,
     ingest_wav,  # noqa: F401  unused here; perfbench/spans.py patches audit.ingest_wav
-    mel_grid_problem,
     wav_frames,
     wav_sample_rate,
 )
-from .dsp import Spectrogram, bandpass_problem
+from .dsp import Spectrogram
 from .dsp import mel_filterbank  # noqa: F401  unused here; perfbench/spans.py patches audit.mel_filterbank
 from .errors import DegeneracyError, ParameterError
 from .learn import CvResult, loso_accuracies, loso_cv, pca2
@@ -134,9 +134,8 @@ def band_scan(
     Each band gets its own band-pass and its own mel analysis range, so
     the per-band accuracy reflects only information inside that band; a
     band equal to cfg's keeps cfg, mel range included.  A band the feature
-    map refuses, because its band-pass edge lies above Nyquist
-    (:func:`~vibroaudit.dsp.bandpass_problem`) or its mel grid cannot
-    resolve it (:func:`~vibroaudit.dataset.mel_grid_problem`), is skipped
+    map refuses (:func:`~vibroaudit.dataset.feature_map_problem`), such as
+    one whose band-pass edge or mel range lies above Nyquist, is skipped
     with that reason before any session is read.  Each session is read and
     segmented once for all bands.
     """
@@ -147,13 +146,12 @@ def band_scan(
         cfg, band_lo=lo, band_hi=hi, mfcc=replace(cfg.mfcc, fmin=lo, fmax=hi)) for lo, hi in bands]
     first = manifest.wav_file(manifest.sessions[0])
     fs = wav_sample_rate(first)
-    # every band keeps cfg's frame and taps; if no segment of the first
-    # session fits them, extraction would stop there (and the frame sizes
-    # the mel grids built below)
+    # every band keeps cfg's frame, taps and filter count; if the first
+    # session cannot hold them, extraction would stop there (and the frame
+    # sizes the mel grids built below)
     check_segment_length(wav_frames(first), cfg, fs)
 
-    problems = [bandpass_problem(c.band_lo, c.band_hi, fs, c.taps) or mel_grid_problem(c, fs)
-                for c in band_cfgs]
+    problems = [feature_map_problem(c, fs) for c in band_cfgs]
     scored = [i for i, problem in enumerate(problems) if not problem]
     tables = extract_tables(manifest, [band_cfgs[i] for i in scored])
     cvs = {i: loso_cv(t, group_key=group_key, target=target) for i, t in zip(scored, tables)}
@@ -435,6 +433,11 @@ def _draw_accuracies(keys: Sequence, build) -> np.ndarray:
     return np.array([acc_of[key] for key in keys], dtype=np.float64)
 
 
+def _pick(rng: np.random.Generator, pool: Sequence, size: int) -> tuple:
+    """``size`` members of ``pool``, drawn without replacement, sorted."""
+    return tuple(sorted(pool[j] for j in rng.choice(len(pool), size=size, replace=False)))
+
+
 def _check_repeats(option: str, value: int, minimum: int, draws_per_repeat: int = 1) -> None:
     """Reject a repeat count below ``minimum``, or one whose draws would
     need more random streams than one kind has, before anything is drawn."""
@@ -629,12 +632,7 @@ def condition_on_covariate(
             f"groups; need >= 2"
         )
 
-    def draw(i: int) -> tuple[str, ...]:
-        rng = stream(seed, substream_id("control", i))
-        picked = rng.choice(len(groups_all), size=k, replace=False)
-        return tuple(sorted(groups_all[j] for j in picked))
-
-    keys = [draw(i) for i in range(control_repeats)]
+    keys = [_pick(stream(seed, substream_id("control", i)), groups_all, k) for i in range(control_repeats)]
     samples = _draw_accuracies(keys, _rows_in(table, group_key, group_key, target))
     control = summarize_draws(samples, quantile)
     if not control.n_valid:
@@ -745,10 +743,8 @@ def incremental_mixing_curve(
         k = counts[n // (2 * repeats)]
         rng = stream(seed, substream_id("mixing", n))
         if n % 2 == 0:
-            picked = rng.choice(len(added_sessions), size=k, replace=False)
-            return tuple(sorted(base_sessions + [added_sessions[p] for p in picked]))
-        picked = rng.choice(len(pool), size=len(base_sessions) + k, replace=False)
-        return tuple(sorted(pool[p] for p in picked))
+            return tuple(sorted((*base_sessions, *_pick(rng, added_sessions, k))))
+        return _pick(rng, pool, len(base_sessions) + k)
 
     accs = _draw_accuracies(
         [draw(n) for n in range(2 * len(counts) * repeats)] + [tuple(pool)],

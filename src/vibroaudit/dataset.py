@@ -27,7 +27,9 @@ from .dsp import (
     bandpass,  # noqa: F401  unused here; perfbench/spans.py patches dataset.bandpass
     bandpass_problem,
     fft_length,
+    mel_bins_problem,
     mel_filterbank,
+    mel_filterbank_problem,
     mfcc_from_power,
     parseval_weights,
     power_frames,
@@ -407,24 +409,10 @@ class FeatureConfig:
             self.mfcc = MfccConfig(fmin=self.band_lo, fmax=self.band_hi)
 
     def to_json_dict(self) -> dict:
-        m = self.mfcc
-        return {
-            "band_lo": self.band_lo,
-            "band_hi": self.band_hi,
-            "mfcc": {
-                "fmin": m.fmin,
-                "fmax": m.fmax,
-                "frame_ms": m.frame_ms,
-                "hop_fraction": m.hop_fraction,
-                "n_mels": m.n_mels,
-                "n_coeffs": m.n_coeffs,
-                "log_floor": m.log_floor,
-            },
-            "aggregators": list(self.aggregators),
-            "extra_features": list(self.extra_features),
-            "taps": self.taps,
-            "channel_mode": self.channel_mode,
-        }
+        out = asdict(self)
+        for key in ("aggregators", "extra_features"):
+            out[key] = list(out[key])
+        return out
 
     @staticmethod
     def from_json_dict(obj) -> "FeatureConfig":
@@ -494,13 +482,21 @@ def minimum_segment_samples(cfg: FeatureConfig, sample_rate: float) -> int:
 
 
 def check_segment_length(n_samples: int, cfg: FeatureConfig, sample_rate: float) -> None:
-    """Raise unless a segment of ``n_samples`` is long enough for the feature map."""
+    """Raise unless a segment of ``n_samples`` is long enough for the feature
+    map, and its frame has an FFT bin for every mel filter.
+
+    Neither depends on the band or the mel range, so a band scan, which
+    keeps cfg's frame and filter count in every band, raises them too.
+    """
     need = minimum_segment_samples(cfg, sample_rate)
     if n_samples < need:
         raise ParameterError(
             f"segment too short for feature extraction: need at least "
             f"{need / sample_rate:.6f}s at {sample_rate:.0f} Hz"
         )
+    problem = mel_bins_problem(cfg.mfcc.n_mels, fft_length(cfg.mfcc.frame_len(sample_rate)))
+    if problem:
+        raise ParameterError(problem)
 
 
 def _mel_grid(cfg: FeatureConfig, sample_rate: float) -> np.ndarray:
@@ -509,14 +505,21 @@ def _mel_grid(cfg: FeatureConfig, sample_rate: float) -> np.ndarray:
     return mel_filterbank(mc.n_mels, fft_length(mc.frame_len(sample_rate)), sample_rate, mc.fmin, mc.fmax)
 
 
-def mel_grid_problem(cfg: FeatureConfig, sample_rate: float) -> str | None:
-    """Why the feature map refuses cfg's mel grid at ``sample_rate``, or None.
+def feature_map_problem(cfg: FeatureConfig, sample_rate: float) -> str | None:
+    """Why the feature map refuses cfg at ``sample_rate``, or None.
 
+    The band-pass must be designable (:func:`~vibroaudit.dsp.bandpass_problem`)
+    and the mel grid buildable (:func:`~vibroaudit.dsp.mel_filterbank_problem`).
     A triangular filter that covers no FFT bin would feed the MFCCs only
-    log-floor noise, so extraction raises this reason and band scan skips
-    the band with it.
+    log-floor noise, so it is refused too.  Extraction raises this reason
+    and band scan skips the band with it.
     """
     mc = cfg.mfcc
+    n_fft = fft_length(mc.frame_len(sample_rate))
+    problem = (bandpass_problem(cfg.band_lo, cfg.band_hi, sample_rate, cfg.taps)
+               or mel_filterbank_problem(mc.n_mels, n_fft, sample_rate, mc.fmin, mc.fmax))
+    if problem:
+        return problem
     empty = int(np.sum(_mel_grid(cfg, sample_rate).sum(axis=1) == 0))
     return (f"band ({float(mc.fmin)}, {float(mc.fmax)}) Hz is too narrow for the mel grid: "
             f"{empty} of {mc.n_mels} filters cover no FFT bin") if empty else None
@@ -605,14 +608,14 @@ def _segments_features(segments: Sequence[np.ndarray], fs: float,
     """g of each segment, mono (n,) or two-channel (n, 2) samples at ``fs``
     Hz, under each config.
 
-    Each config is checked once, against the shortest segment and its mel
-    grid (:func:`mel_grid_problem`).  Configs that share taps and channel
+    Each config is checked once, against the shortest segment and then
+    :func:`feature_map_problem`.  Configs that share taps and channel
     mode pad each channel the same way, so one zero-delay filtering pass
     serves all their bands.
     """
     for cfg in cfgs:
         check_segment_length(min(map(len, segments)), cfg, fs)
-        problem = mel_grid_problem(cfg, fs)
+        problem = feature_map_problem(cfg, fs)
         if problem:
             raise ParameterError(problem)
     groups: dict[tuple[int, str], list[int]] = {}
@@ -786,11 +789,13 @@ def extract_tables(manifest: Manifest, cfgs: list[FeatureConfig]) -> list[Featur
         raise ParameterError("cannot build a feature table from zero sessions")
     if not cfgs:
         return []
-    # a band-pass edge above the first recording's Nyquist fails before
-    # any recording is read
-    fs = wav_sample_rate(manifest.wav_file(manifest.sessions[0]))
+    # every config fault fails before any recording is read, checked at the
+    # first recording's rate, with its frame count for the segment length
+    first = manifest.wav_file(manifest.sessions[0])
+    fs = wav_sample_rate(first)
     for cfg in cfgs:
-        problem = bandpass_problem(cfg.band_lo, cfg.band_hi, fs, cfg.taps)
+        check_segment_length(wav_frames(first), cfg, fs)
+        problem = feature_map_problem(cfg, fs)
         if problem:
             raise ParameterError(problem)
 

@@ -387,6 +387,24 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def mel_bins_problem(n_mels: int, n_fft: int) -> str | None:
+    """Why ``n_mels`` filters do not fit the one-sided bins of an
+    ``n_fft``-point FFT, or None."""
+    if n_mels > n_fft // 2 + 1:
+        return f"n_mels={n_mels} exceeds the {n_fft // 2 + 1} one-sided bins of a {n_fft}-point FFT"
+    return None
+
+
+def mel_filterbank_problem(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fmax: float) -> str | None:
+    """Why :func:`mel_filterbank` refuses its arguments, or None."""
+    nyq = sample_rate / 2.0
+    if fmax > nyq:
+        return f"fmax={fmax} exceeds Nyquist {nyq}"
+    if fmin >= fmax:
+        return f"need fmin < fmax, got ({fmin}, {fmax})"
+    return mel_bins_problem(n_mels, n_fft)
+
+
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fmax: float) -> np.ndarray:
     """Triangular mel filterbank on the one-sided FFT bin grid.
 
@@ -395,15 +413,9 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: float, fmin: float, fma
     neighbors' centers.  Shape (n_mels, n_fft // 2 + 1); n_mels may not
     exceed the bin count.  The array is cached and read-only.
     """
-    nyq = sample_rate / 2.0
-    if fmax > nyq:
-        raise ParameterError(f"fmax={fmax} exceeds Nyquist {nyq}")
-    if fmin >= fmax:
-        raise ParameterError(f"need fmin < fmax, got ({fmin}, {fmax})")
-    if n_mels > n_fft // 2 + 1:
-        raise ParameterError(
-            f"n_mels={n_mels} exceeds the {n_fft // 2 + 1} one-sided bins of a {n_fft}-point FFT"
-        )
+    problem = mel_filterbank_problem(n_mels, n_fft, sample_rate, fmin, fmax)
+    if problem:
+        raise ParameterError(problem)
     return _mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax)
 
 

@@ -9,6 +9,8 @@ shortcut, not to the knees.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import ParameterError
 from .world import BaseSource, CohortSpec, WorldSpec
 
@@ -56,15 +58,14 @@ def scenario_preset(
     if name not in SCENARIOS:
         raise ParameterError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
+    overrides = {
+        "n_subjects": n_subjects,
+        "n_repetitions": n_repetitions,
+        "repetition_duration_s": repetition_duration_s,
+    }
+
     def cohort(defaults: CohortSpec) -> CohortSpec:
-        if n_subjects is not None:
-            defaults.n_subjects = n_subjects
-        if n_repetitions is not None:
-            defaults.n_repetitions = n_repetitions
-        if repetition_duration_s is not None:
-            defaults.repetition_duration_s = repetition_duration_s
-        defaults.__post_init__()
-        return defaults
+        return replace(defaults, **{k: v for k, v in overrides.items() if v is not None})
 
     if name == "clean":
         return WorldSpec(

@@ -26,9 +26,8 @@ from scipy.signal import firwin2
 from .._parallel import pmap, worker_count
 from .._rng import stream, substream_id
 from ..dataset import Manifest, SessionRecord, save_manifest, write_wav
-from ..dsp import Signal, design_bandpass_fir, fir_spectrum, zero_delay_filter
-from ..errors import ParameterError
-from .world import HEALTH_VALUES, BaseSource, WorldSpec, event_index, event_signs, validate_world
+from ..dsp import DEFAULT_BANDPASS_TAPS, Signal, design_bandpass_fir, fir_spectrum, zero_delay_filter
+from .world import DEFAULT_TILT_TAPS, BaseSource, WorldSpec, event_index, event_signs, validate_world
 
 
 # ---------------------------------------------------------------------------
@@ -92,70 +91,35 @@ def plan_cohort(world: WorldSpec) -> list[_PlannedSession]:
 
     Health, sides and side-locked devices follow a fixed first-k layout
     so the plan is a pure function of the cohort spec; only 'shuffled'
-    device assignment consumes randomness, from the cohort stream.
+    device assignment consumes randomness, from the cohort stream, one
+    draw per session in session order.
     """
     cohort = world.cohort
-    rng = stream(world.seed, substream_id("cohort", 0))
-    plans: list[_PlannedSession] = []
-
-    def device_for(side: str) -> str:
-        if cohort.device_assignment == "side-locked":
-            return "DL" if side == "left" else "DR"
-        return _DEVICES[int(rng.integers(0, len(_DEVICES)))]
-
+    n = cohort.n_subjects
+    # each layout lists its legs, in session order, as
+    # (subject index, side, health, metadata)
     if cohort.session_tag == "day":
-        for day in range(cohort.n_subjects):
-            plans.append(
-                _PlannedSession(
-                    session_index=day,
-                    session_id=f"sess{day:03d}",
-                    subject_id="subj000",
-                    subject_index=0,
-                    side="left",
-                    device_id=device_for("left"),
-                    health="Healthy",
-                    metadata={"day": day},
-                )
-            )
-        return plans
+        legs = [(0, "left", "Healthy", {"day": day}) for day in range(n)]
+    elif cohort.pairing == "independent":
+        n_healthy = n - int(round(n * cohort.health_split))
+        legs = [(s, "left" if s % 2 == 0 else "right", "Healthy" if s < n_healthy else "Unhealthy", {})
+                for s in range(n)]
+    else:
+        # complementary: one Healthy and one Unhealthy leg per subject
+        n_left_unhealthy = int(round(n * cohort.left_unhealthy_fraction))
+        legs = []
+        for s in range(n):
+            left, right = ("Unhealthy", "Healthy") if s < n_left_unhealthy else ("Healthy", "Unhealthy")
+            legs += [(s, "left", left, {}), (s, "right", right, {})]
 
-    if cohort.pairing == "independent":
-        n_unhealthy = int(round(cohort.n_subjects * cohort.health_split))
-        n_healthy = cohort.n_subjects - n_unhealthy
-        for s in range(cohort.n_subjects):
-            side = "left" if s % 2 == 0 else "right"
-            plans.append(
-                _PlannedSession(
-                    session_index=s,
-                    session_id=f"sess{s:03d}",
-                    subject_id=f"subj{s:03d}",
-                    subject_index=s,
-                    side=side,
-                    device_id=device_for(side),
-                    health="Healthy" if s < n_healthy else "Unhealthy",
-                )
-            )
-        return plans
-
-    # complementary: one Healthy and one Unhealthy leg per subject
-    n_left_unhealthy = int(round(cohort.n_subjects * cohort.left_unhealthy_fraction))
-    idx = 0
-    for s in range(cohort.n_subjects):
-        left_health = "Unhealthy" if s < n_left_unhealthy else "Healthy"
-        right_health = "Healthy" if left_health == "Unhealthy" else "Unhealthy"
-        for side, health in (("left", left_health), ("right", right_health)):
-            plans.append(
-                _PlannedSession(
-                    session_index=idx,
-                    session_id=f"sess{idx:03d}",
-                    subject_id=f"subj{s:03d}",
-                    subject_index=s,
-                    side=side,
-                    device_id=device_for(side),
-                    health=health,
-                )
-            )
-            idx += 1
+    rng = stream(world.seed, substream_id("cohort", 0))
+    plans = []
+    for i, (s, side, health, metadata) in enumerate(legs):
+        if cohort.device_assignment == "side-locked":
+            device = "DL" if side == "left" else "DR"
+        else:
+            device = _DEVICES[int(rng.integers(0, len(_DEVICES)))]
+        plans.append(_PlannedSession(i, f"sess{i:03d}", f"subj{s:03d}", s, side, device, health, metadata))
     return plans
 
 
@@ -208,8 +172,6 @@ def _tilt_taps(slope_db_per_khz: float, fs: float, ref_hz: float, ntaps: int,
     An optional bump (center Hz, gain dB, width Hz) superimposes a
     Gaussian resonance, used as a health-independent device signature.
     """
-    if ntaps % 2 == 0:
-        raise ParameterError("tilt filter needs an odd number of taps")
     nyq = fs / 2.0
     freqs = np.linspace(0.0, nyq, 257)
     gains_db = slope_db_per_khz * (freqs - ref_hz) / 1000.0
@@ -232,7 +194,7 @@ def _source_fir(src: BaseSource, fs: float, device_id: str, unhealthy: bool) -> 
     params = src.waveform_params
     if src.kind == "broadband":
         lo, hi = (float(v) for v in params["band"])
-        return design_bandpass_fir(lo, hi, fs, int(params.get("taps", 513)))
+        return design_bandpass_fir(lo, hi, fs, int(params.get("taps", DEFAULT_BANDPASS_TAPS)))
     slope = float(params["slopes_db_per_khz"][device_id])
     if unhealthy and device_id == params.get("health_delta_device"):
         slope += float(params.get("health_delta_db_per_khz", 0.0))
@@ -241,7 +203,7 @@ def _source_fir(src: BaseSource, fs: float, device_id: str, unhealthy: bool) -> 
         slope,
         fs,
         float(params.get("ref_hz", 1000.0)),
-        int(params.get("ntaps", 129)),
+        int(params.get("ntaps", DEFAULT_TILT_TAPS)),
         bump=None if bump is None else tuple(float(v) for v in bump),
     )
 
@@ -293,17 +255,20 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
 
     rng = stream(world.seed, substream_id("session", plan.session_index))
 
-    # session-scope draws, unconditionally and in source order, so the
-    # stream stays aligned whatever the activation outcomes are
-    session_active: dict[int, bool] = {}
-    session_phase: dict[int, float] = {}
-    for j, src in enumerate(sources):
-        if src.activation_scope == "session":
-            session_active[j] = bool(rng.random() < probs[j])
-            if plan.subject_index in src.forced_active_subjects:
-                session_active[j] = True
-        if src.kind == "tone" and src.activation_scope == "session":
-            session_phase[j] = float(rng.uniform(0.0, 2.0 * np.pi))
+    def draw_scope(scope: str) -> tuple[dict[int, bool], dict[int, float]]:
+        # every activation and tone phase of the scope is drawn, in source
+        # order, whatever the outcomes, so the stream stays aligned
+        active: dict[int, bool] = {}
+        phase: dict[int, float] = {}
+        for j, src in enumerate(sources):
+            if src.activation_scope == scope:
+                forced = plan.subject_index in src.forced_active_subjects
+                active[j] = bool(rng.random() < probs[j]) or forced
+                if src.kind == "tone":
+                    phase[j] = float(rng.uniform(0.0, 2.0 * np.pi))
+        return active, phase
+
+    session_active, session_phase = draw_scope("session")
 
     channel = None
     if world.sensor_channel is not None:
@@ -330,17 +295,10 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
         lo = r * rep_len
         sl = slice(lo, lo + rep_len)
 
-        active = [False] * n_src
-        rep_phase: dict[int, float] = {}
-        for j, src in enumerate(sources):
-            if src.activation_scope == "session":
-                active[j] = session_active[j]
-            else:
-                active[j] = bool(rng.random() < probs[j])
-                if plan.subject_index in src.forced_active_subjects:
-                    active[j] = True
-            if src.kind == "tone" and src.activation_scope == "repetition":
-                rep_phase[j] = float(rng.uniform(0.0, 2.0 * np.pi))
+        rep_active, rep_phase = draw_scope("repetition")
+        scope_active = session_active | rep_active
+        active = [scope_active[j] for j in range(n_src)]
+        phases = session_phase | rep_phase
 
         if channel is None:
             observed = list(active)
@@ -367,8 +325,7 @@ def _render_session(world: WorldSpec, plan: _PlannedSession,
                     unhealthy and world.causal_link_enabled,
                 )
             elif src.kind == "tone":
-                phase = session_phase.get(j, rep_phase.get(j, 0.0))
-                wave = _render_tone(rep_len, fs, src.waveform_params, phase, lo)
+                wave = _render_tone(rep_len, fs, src.waveform_params, phases[j], lo)
             else:
                 level = float(src.waveform_params.get("level_db", -40.0))
                 if j in day_offsets:

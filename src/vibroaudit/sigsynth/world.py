@@ -10,16 +10,19 @@ pathway that the ground truth records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..dsp import DEFAULT_BANDPASS_TAPS, bandpass_problem
 from ..errors import CapacityError, ParameterError
 
 SOURCE_KINDS = ("knee", "tone", "broadband", "device-tilt")
 HEALTH_VALUES = ("Healthy", "Unhealthy")
 
 MAX_ENUM_SOURCES = 20
+# taps of a device-tilt source's FIR when its waveform_params set no ntaps
+DEFAULT_TILT_TAPS = 129
 
 
 # ---------------------------------------------------------------------------
@@ -244,36 +247,12 @@ class WorldSpec:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "causal_link_enabled": self.causal_link_enabled,
-            "sensor_noise_db": self.sensor_noise_db,
-            "seed": self.seed,
-            "sensor_channel": (
-                None if self.sensor_channel is None else np.asarray(self.sensor_channel).tolist()
-            ),
-            "cohort": {
-                "n_subjects": self.cohort.n_subjects,
-                "pairing": self.cohort.pairing,
-                "device_assignment": self.cohort.device_assignment,
-                "health_split": self.cohort.health_split,
-                "n_repetitions": self.cohort.n_repetitions,
-                "repetition_duration_s": self.cohort.repetition_duration_s,
-                "session_tag": self.cohort.session_tag,
-                "left_unhealthy_fraction": self.cohort.left_unhealthy_fraction,
-            },
-            "sources": [
-                {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "activation_prob_given_health": dict(s.activation_prob_given_health),
-                    "waveform_params": dict(s.waveform_params),
-                    "activation_scope": s.activation_scope,
-                    "forced_active_subjects": list(s.forced_active_subjects),
-                }
-                for s in self.base_sources
-            ],
-        }
+        """Every field as JSON-ready data, base_sources under ``sources``."""
+        out = asdict(self)
+        out["sources"] = out.pop("base_sources")
+        if self.sensor_channel is not None:
+            out["sensor_channel"] = np.asarray(self.sensor_channel).tolist()
+        return out
 
 
 def validate_world(world: WorldSpec) -> None:
@@ -299,6 +278,15 @@ def validate_world(world: WorldSpec) -> None:
                 f"source {src.name}: tone frequency {src.waveform_params.get('freq')} "
                 f"must be below Nyquist {nyq}"
             )
+        params = src.waveform_params
+        if src.kind == "broadband" and params.get("band") is not None:
+            lo, hi = (float(v) for v in params["band"])
+            taps = int(params.get("taps", DEFAULT_BANDPASS_TAPS))
+            problem = bandpass_problem(lo, hi, world.sample_rate, taps)
+            if problem:
+                raise ParameterError(f"source {src.name}: {problem}")
+        if src.kind == "device-tilt" and int(params.get("ntaps", DEFAULT_TILT_TAPS)) % 2 == 0:
+            raise ParameterError(f"source {src.name}: tilt filter needs an odd number of taps")
         for idx in src.forced_active_subjects:
             if not (0 <= idx < world.cohort.n_subjects):
                 raise ParameterError(

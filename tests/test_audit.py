@@ -38,7 +38,7 @@ from vibroaudit.audit import (
     uniform_band_plan,
 )
 from vibroaudit._rng import stream, substream_id
-from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, load_manifest, mel_grid_problem
+from vibroaudit.dataset import FeatureConfig, FeatureTable, extract_table, feature_map_problem, load_manifest
 from vibroaudit.dsp import MfccConfig, Signal, stft
 from vibroaudit.errors import DegeneracyError, ParameterError
 from vibroaudit.learn import loso_cv
@@ -173,13 +173,20 @@ class TestBandScan:
         # a band equal to cfg's keeps cfg, so cfg's mel range decides the skip
         narrow_mel = FeatureConfig(band_lo=250.0, band_hi=10_000.0, mfcc=MfccConfig(fmin=250.0, fmax=400.0))
         res = band_scan(tone_manifest, [(250.0, 10_000.0)], narrow_mel)
-        assert res.skipped == {0: mel_grid_problem(narrow_mel, 100_000.0)}
+        assert res.skipped == {0: feature_map_problem(narrow_mel, 100_000.0)}
         assert "20 of 26 filters cover no FFT bin" in res.skipped[0]
         wide_mel = FeatureConfig(band_lo=250.0, band_hi=400.0, mfcc=MfccConfig(fmin=250.0, fmax=10_000.0))
         res = band_scan(tone_manifest, [(250.0, 400.0)], wide_mel)
         assert res.skipped == {}
         plain = loso_cv(extract_table(tone_manifest, wide_mel))
         assert res.per_band_accuracy[0] == plain.mean_repetition_accuracy
+
+    def test_mel_range_above_nyquist_skips_only_its_band(self, tone_manifest):
+        # the reused config keeps its mel range in its own band only
+        cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0, mfcc=MfccConfig(fmin=250.0, fmax=60_000.0))
+        res = band_scan(tone_manifest, [(250.0, 10_000.0), (10_000.0, 20_000.0)], cfg)
+        assert res.skipped == {0: "fmax=60000.0 exceeds Nyquist 50000.0"}
+        assert np.isnan(res.per_band_accuracy[0]) and not np.isnan(res.per_band_accuracy[1])
 
     def test_fewer_than_two_subjects_raises(self, tmp_path):
         world = sg.scenario_preset(

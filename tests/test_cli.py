@@ -206,6 +206,34 @@ class TestFeatures:
         assert reads == []
 
 
+    def test_mel_range_above_nyquist_exits_one_before_any_read(
+            self, tone_dataset, tmp_path, capsys, monkeypatch):
+        import vibroaudit.dataset as dataset
+
+        reads = []
+        original = dataset.ingest_wav
+        monkeypatch.setattr(dataset, "ingest_wav", lambda path: reads.append(path) or original(path))
+        manifest = str(tone_dataset / "manifest.json")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"band_lo": 250.0, "band_hi": 10_000.0,
+                                        "mfcc": {"fmin": 250.0, "fmax": 60_000.0}}))
+        out = tmp_path / "features.csv"
+        assert run("features", "--manifest", manifest, "--config", str(cfg_path),
+                   "--out", str(out)) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: fmax=60000.0 exceeds Nyquist 50000.0\n"
+        assert not out.exists()
+        assert reads == []
+
+        # band scan skips the config's own band and scores the other
+        scan = tmp_path / "scan"
+        rc = run("audit", "band-scan", "--manifest", manifest, "--config", str(cfg_path),
+                 "--bands", "250-10000,10000-20000", "--out", str(scan))
+        assert rc in (EXIT_OK, EXIT_FLAGS)
+        section = read_report(scan / "report.json")["sections"]["band_scan"]
+        assert section["skipped"] == {"0": "fmax=60000.0 exceeds Nyquist 50000.0"}
+        assert section["best_band"] == [10_000.0, 20_000.0]
+
+
 class TestAuditSuite:
     def test_tone_bias_suite_raises_flags(self, tone_dataset, tmp_path):
         out = tmp_path / "audit"

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,16 +22,16 @@ from vibroaudit.dataset import (
     extract_features,
     extract_table,
     extract_tables,
+    feature_map_problem,
     ingest_wav,
     load_manifest,
-    mel_grid_problem,
     minimum_segment_samples,
     save_manifest,
     segment_repetitions,
     wav_sample_rate,
     write_wav,
 )
-from vibroaudit.dsp import MfccConfig, Signal, mel_filterbank, mfcc_from_power, power_frames
+from vibroaudit.dsp import MfccConfig, Signal, bandpass_problem, mel_filterbank, mfcc_from_power, power_frames
 from vibroaudit.errors import FormatError, ManifestError, ParameterError, VibroauditError
 
 FS = 100_000.0
@@ -472,14 +473,14 @@ class TestExtractFeatures:
         # filters of a 26-filter grid over 250-400 Hz
         cfg = FeatureConfig(band_lo=250.0, band_hi=400.0)
         reason = "band (250.0, 400.0) Hz is too narrow for the mel grid: 20 of 26 filters cover no FFT bin"
-        assert mel_grid_problem(cfg, FS) == reason
+        assert feature_map_problem(cfg, FS) == reason
         with pytest.raises(ParameterError, match=re.escape(reason)):
             extract_features(noise_segment(), cfg)
         # the mel range decides, not the band-pass edges
-        assert mel_grid_problem(FeatureConfig(band_lo=250.0, band_hi=400.0,
-                                              mfcc=MfccConfig(fmin=250.0, fmax=10_000.0)), FS) is None
-        assert mel_grid_problem(FeatureConfig(band_lo=250.0, band_hi=10_000.0,
-                                              mfcc=MfccConfig(fmin=250.0, fmax=400.0)), FS) == reason
+        assert feature_map_problem(FeatureConfig(band_lo=250.0, band_hi=400.0,
+                                                 mfcc=MfccConfig(fmin=250.0, fmax=10_000.0)), FS) is None
+        assert feature_map_problem(FeatureConfig(band_lo=250.0, band_hi=10_000.0,
+                                                 mfcc=MfccConfig(fmin=250.0, fmax=400.0)), FS) == reason
 
     @given(
         fs=st.sampled_from([8_000.0, 16_000.0, 44_100.0, 100_000.0]),
@@ -501,12 +502,12 @@ class TestExtractFeatures:
         try:
             # the grid at the bin count that extraction's spectra really have
             fbank = mel_filterbank(n_mels, (power.shape[1] - 1) * 2, fs, lo, hi)
-        except ParameterError:
-            with pytest.raises(ParameterError):
-                mel_grid_problem(cfg, fs)
+        except ParameterError as exc:
+            # returned, not raised, after the band-pass edges' own reason
+            assert feature_map_problem(cfg, fs) == (bandpass_problem(lo, hi, fs, cfg.taps) or str(exc))
             return
         empty = int(np.sum(~fbank.any(axis=1)))
-        problem = mel_grid_problem(cfg, fs)
+        problem = feature_map_problem(cfg, fs)
         assert (problem is not None) == (empty > 0)
         if empty:
             assert problem.endswith(f": {empty} of {n_mels} filters cover no FFT bin")
@@ -535,6 +536,12 @@ class TestExtractFeatures:
         cfg = FeatureConfig(band_lo=900.0, band_hi=3_000.0, aggregators=("mean",))
         again = FeatureConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
+
+    def test_config_json_carries_every_field(self):
+        doc = json.loads(json.dumps(FeatureConfig(band_lo=900.0, band_hi=3_000.0).to_json_dict()))
+        assert set(doc) == {f.name for f in fields(FeatureConfig)}
+        assert set(doc["mfcc"]) == {f.name for f in fields(MfccConfig)}
+        assert doc["aggregators"] == ["mean", "std"]
 
     @pytest.mark.parametrize(
         "obj, message",
@@ -667,12 +674,13 @@ class TestFeatureTable:
     def test_mel_grid_is_checked_once_per_session_and_config(self, tmp_path, monkeypatch):
         manifest, cfg, _ = toy_table(tmp_path)
         checked = []
-        original = dataset.mel_grid_problem
-        monkeypatch.setattr(dataset, "mel_grid_problem", lambda c, fs: checked.append(c) or original(c, fs))
+        original = dataset.feature_map_problem
+        monkeypatch.setattr(dataset, "feature_map_problem", lambda c, fs: checked.append(c) or original(c, fs))
         narrow = FeatureConfig(band_lo=1_000.0, band_hi=3_000.0)
         extract_tables(manifest, [cfg, narrow])
-        # 3 sessions of 2 repetitions each, 2 configs
-        assert len(checked) == 6
+        # 2 configs before any read, then again in each of 3 sessions of 2
+        # repetitions each
+        assert checked[:2] == [cfg, narrow] and len(checked) == 8
         unresolvable = FeatureConfig(band_lo=250.0, band_hi=400.0)
         with pytest.raises(ParameterError, match=re.escape(original(unresolvable, 16_000.0))):
             extract_tables(manifest, [cfg, unresolvable])

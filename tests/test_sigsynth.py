@@ -1,7 +1,9 @@
 """Tests for the synthetic world model, rendering and exact posteriors."""
 
 import json
+import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -178,6 +180,24 @@ class TestWorldValidation:
         with pytest.raises(ParameterError, match="no slope for device 'DR'"):
             validate_world(tilt_world(2))
 
+    @pytest.mark.parametrize(
+        "name, source, params, message",
+        [
+            ("day-nuisance", "day-hum", {"band": (2800.0, 9000.0)},
+             "source day-hum: hi=9000.0 exceeds Nyquist 8000.0"),
+            ("day-nuisance", "day-hum", {"taps": 512},
+             "source day-hum: taps must be an odd integer >= 3, got 512"),
+            ("device-shift", "device-tilt", {"ntaps": 128},
+             "source device-tilt: tilt filter needs an odd number of taps"),
+        ],
+    )
+    def test_source_filters_are_checked_before_any_render(self, monkeypatch, name, source, params, message):
+        w = scenario_preset(name, seed=0, n_subjects=2, n_repetitions=1, repetition_duration_s=0.1)
+        next(s for s in w.base_sources if s.name == source).waveform_params.update(params)
+        monkeypatch.setattr(render, "_render_session", lambda *args: pytest.fail("a session rendered"))
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            sample_cohort(w)
+
     def test_sensor_channel_shape_and_columns(self):
         w = make_world([quiet_knee()], sensor_channel=np.eye(4))
         with pytest.raises(ParameterError, match="shape"):
@@ -201,7 +221,159 @@ class TestWorldValidation:
             BaseSource("k", "knee", {"Healthy": 0, "Unhealthy": 0}, activation_scope="week")
 
 
+# every planned session at seed 0: session id, subject id, side, device,
+# health and metadata; shuffled devices come from the cohort stream's Philox
+# integers, so these hold on every platform
+PLAN_PINS = {
+    'clean': """
+        sess000 subj000 left DL Healthy
+        sess001 subj001 right DL Healthy
+        sess002 subj002 left DR Healthy
+        sess003 subj003 right DL Healthy
+        sess004 subj004 left DL Healthy
+        sess005 subj005 right DL Healthy
+        sess006 subj006 left DL Healthy
+        sess007 subj007 right DR Healthy
+        sess008 subj008 left DR Healthy
+        sess009 subj009 right DR Healthy
+        sess010 subj010 left DR Unhealthy
+        sess011 subj011 right DL Unhealthy
+        sess012 subj012 left DR Unhealthy
+        sess013 subj013 right DR Unhealthy
+        sess014 subj014 left DL Unhealthy
+        sess015 subj015 right DR Unhealthy
+        sess016 subj016 left DR Unhealthy
+        sess017 subj017 right DL Unhealthy
+        sess018 subj018 left DL Unhealthy
+        sess019 subj019 right DL Unhealthy
+    """,
+    'tone-bias': """
+        sess000 subj000 left DL Healthy
+        sess001 subj001 right DR Healthy
+        sess002 subj002 left DL Healthy
+        sess003 subj003 right DR Healthy
+        sess004 subj004 left DL Healthy
+        sess005 subj005 right DR Healthy
+        sess006 subj006 left DL Healthy
+        sess007 subj007 right DR Healthy
+        sess008 subj008 left DL Healthy
+        sess009 subj009 right DR Healthy
+        sess010 subj010 left DL Unhealthy
+        sess011 subj011 right DR Unhealthy
+        sess012 subj012 left DL Unhealthy
+        sess013 subj013 right DR Unhealthy
+        sess014 subj014 left DL Unhealthy
+        sess015 subj015 right DR Unhealthy
+        sess016 subj016 left DL Unhealthy
+        sess017 subj017 right DR Unhealthy
+        sess018 subj018 left DL Unhealthy
+        sess019 subj019 right DR Unhealthy
+    """,
+    'randomized-tone': """
+        sess000 subj000 left DL Healthy
+        sess001 subj001 right DR Healthy
+        sess002 subj002 left DL Healthy
+        sess003 subj003 right DR Healthy
+        sess004 subj004 left DL Healthy
+        sess005 subj005 right DR Healthy
+        sess006 subj006 left DL Healthy
+        sess007 subj007 right DR Healthy
+        sess008 subj008 left DL Healthy
+        sess009 subj009 right DR Healthy
+        sess010 subj010 left DL Unhealthy
+        sess011 subj011 right DR Unhealthy
+        sess012 subj012 left DL Unhealthy
+        sess013 subj013 right DR Unhealthy
+        sess014 subj014 left DL Unhealthy
+        sess015 subj015 right DR Unhealthy
+        sess016 subj016 left DL Unhealthy
+        sess017 subj017 right DR Unhealthy
+        sess018 subj018 left DL Unhealthy
+        sess019 subj019 right DR Unhealthy
+    """,
+    'device-shift': """
+        sess000 subj000 left DL Unhealthy
+        sess001 subj000 right DR Healthy
+        sess002 subj001 left DL Unhealthy
+        sess003 subj001 right DR Healthy
+        sess004 subj002 left DL Unhealthy
+        sess005 subj002 right DR Healthy
+        sess006 subj003 left DL Unhealthy
+        sess007 subj003 right DR Healthy
+        sess008 subj004 left DL Unhealthy
+        sess009 subj004 right DR Healthy
+        sess010 subj005 left DL Unhealthy
+        sess011 subj005 right DR Healthy
+        sess012 subj006 left DL Healthy
+        sess013 subj006 right DR Unhealthy
+        sess014 subj007 left DL Healthy
+        sess015 subj007 right DR Unhealthy
+        sess016 subj008 left DL Healthy
+        sess017 subj008 right DR Unhealthy
+        sess018 subj009 left DL Healthy
+        sess019 subj009 right DR Unhealthy
+        sess020 subj010 left DL Healthy
+        sess021 subj010 right DR Unhealthy
+        sess022 subj011 left DL Healthy
+        sess023 subj011 right DR Unhealthy
+        sess024 subj012 left DL Healthy
+        sess025 subj012 right DR Unhealthy
+        sess026 subj013 left DL Healthy
+        sess027 subj013 right DR Unhealthy
+        sess028 subj014 left DL Healthy
+        sess029 subj014 right DR Unhealthy
+        sess030 subj015 left DL Healthy
+        sess031 subj015 right DR Unhealthy
+    """,
+    'day-nuisance': """
+        sess000 subj000 left DL Healthy day=0
+        sess001 subj000 left DL Healthy day=1
+        sess002 subj000 left DL Healthy day=2
+        sess003 subj000 left DL Healthy day=3
+        sess004 subj000 left DL Healthy day=4
+    """,
+    'shuffled-0': """
+        sess000 subj000 left DL Unhealthy
+        sess001 subj000 right DL Healthy
+        sess002 subj001 left DR Unhealthy
+        sess003 subj001 right DL Healthy
+        sess004 subj002 left DL Healthy
+        sess005 subj002 right DL Unhealthy
+        sess006 subj003 left DL Healthy
+        sess007 subj003 right DR Unhealthy
+    """,
+    'shuffled-1': """
+        sess000 subj000 left DL Unhealthy
+        sess001 subj000 right DL Healthy
+        sess002 subj001 left DR Unhealthy
+        sess003 subj001 right DR Healthy
+        sess004 subj002 left DL Healthy
+        sess005 subj002 right DL Unhealthy
+        sess006 subj003 left DL Healthy
+        sess007 subj003 right DL Unhealthy
+    """,
+}
+
+
+def layout(world) -> list[str]:
+    return [" ".join([p.session_id, p.subject_id, p.side, p.device_id, p.health]
+                     + [f"{k}={v}" for k, v in p.metadata.items()]) for p in plan_cohort(world)]
+
+
+def shuffled_world(seed: int) -> WorldSpec:
+    # complementary legs with shuffled devices: one cohort-stream draw per leg
+    w = scenario_preset("device-shift", n_subjects=4, seed=seed, n_repetitions=2,
+                        repetition_duration_s=0.25)
+    return replace(w, cohort=replace(w.cohort, device_assignment="shuffled"))
+
+
 class TestCohortPlanning:
+    @pytest.mark.parametrize("name", list(PLAN_PINS))
+    def test_layout_is_pinned(self, name):
+        world = (shuffled_world(int(name[-1])) if name.startswith("shuffled")
+                 else scenario_preset(name, seed=0))
+        assert layout(world) == [line.strip() for line in PLAN_PINS[name].strip().splitlines()]
+
     def test_independent_first_k_layout(self):
         w = make_world([quiet_knee()], n_subjects=6)
         plans = plan_cohort(w)
@@ -428,6 +600,27 @@ class TestDatasetExport:
         wav1 = (tmp_path / "a" / "sess000.wav").read_bytes()
         wav2 = (tmp_path / "b" / "sess000.wav").read_bytes()
         assert wav1 == wav2
+
+
+    @pytest.mark.parametrize("name", ["device-shift", "clean"])
+    def test_export_bytes_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, name):
+        # device-shift filters every session by its device tilt; clean shuffles devices
+        w = scenario_preset(name, seed=1, n_subjects=5, n_repetitions=2, repetition_duration_s=0.1)
+        written = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("VIBROAUDIT_THREADS", threads)
+            write_dataset(sample_cohort(w), tmp_path / threads, w)
+            written.append({p.name: p.read_bytes() for p in sorted((tmp_path / threads).iterdir())})
+        assert len(written[0]) == len(plan_cohort(w)) + 2  # the WAVs, manifest and ground truth
+        assert written[0] == written[1]
+
+    def test_world_json_carries_every_field(self):
+        w = replace(scenario_preset("device-shift", seed=0), sensor_channel=np.eye(8))
+        doc = json.loads(json.dumps(w.to_json_dict()))
+        assert set(doc) == {f.name for f in fields(WorldSpec)} - {"base_sources"} | {"sources"}
+        assert set(doc["cohort"]) == {f.name for f in fields(CohortSpec)}
+        assert [set(src) for src in doc["sources"]] == [{f.name for f in fields(BaseSource)}] * 3
+        assert doc["sensor_channel"] == np.eye(8).tolist()
 
 
 class TestStreamingSynthesis:
