@@ -102,7 +102,7 @@ def uniform_band_plan(nyquist: float, width: float = DEFAULT_BAND_WIDTH_HZ) -> l
     multiple below Nyquist is left out, and a width beyond Nyquist gives
     the one band (250 Hz, Nyquist).
     """
-    if width <= 250.0:
+    if not width > 250.0:
         raise ParameterError(f"band width must exceed 250 Hz, got {width}")
     if width >= nyquist:
         return [(250.0, nyquist)]

@@ -267,6 +267,7 @@ def _detect_all_sessions(manifest: Manifest, spectrogram_dir: Path | None = None
             sig = Signal(sig.samples.mean(axis=1), sig.sample_rate)
         frame_len = _tone_frame_len(sig.sample_rate)
         spec = stft(sig, frame_len, frame_len // 2)
+        del sig  # the detector needs only the spectrogram; drop the samples first
         found = detect_persistent_tones(spec, persistence_min=TONE_PERSISTENCE_MIN,
                                         prominence_min_db=TONE_PROMINENCE_MIN_DB)
         if spectrogram_dir is not None:

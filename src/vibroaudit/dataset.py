@@ -690,13 +690,14 @@ class FeatureTable:
         )
 
     def restrict_features(self, names: list[str]) -> "FeatureTable":
-        cols = [self.feature_names.index(n) if n in self.feature_names else -1 for n in names]
-        for n, c in zip(names, cols):
-            if c < 0:
+        for i, n in enumerate(names):
+            if n not in self.feature_names:
                 raise ParameterError(f"unknown feature {n!r}")
+            if n in names[:i]:
+                raise ParameterError(f"feature {n!r} named twice")
         return FeatureTable(
             feature_names=list(names),
-            matrix=self.matrix[:, cols],
+            matrix=self.matrix[:, [self.feature_names.index(n) for n in names]],
             labels=dict(self.labels),
             repetition_index=self.repetition_index,
         )

@@ -30,6 +30,8 @@ from scipy import fft as sp_fft
 from .errors import ParameterError
 
 DEFAULT_BANDPASS_TAPS = 513
+# frames per block in which :func:`stft` builds a magnitude spectrogram
+STFT_BLOCK_FRAMES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,32 @@ def design_bandpass_fir(lo: float, hi: float, sample_rate: float, taps: int = DE
     return h
 
 
+def design_sampled_response_fir(freqs: np.ndarray, gains: np.ndarray, sample_rate: float, taps: int) -> np.ndarray:
+    """Design a linear-phase FIR of ``taps`` coefficients by frequency
+    sampling: the gain response through the points (``freqs`` Hz,
+    ``gains``), from 0 to Nyquist, is interpolated onto a uniform grid,
+    inverse-transformed and shaped with a symmetric Hamming window.
+
+    The operations and their order are those of scipy's
+    ``firwin2(taps, freqs, gains, fs=sample_rate)`` for an odd ``taps``,
+    so the taps equal it bit for bit.
+    """
+    if taps < 3 or taps % 2 == 0:
+        raise ParameterError(f"taps must be an odd integer >= 3, got {taps}")
+    nyq = 0.5 * sample_rate
+    freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs[0] != 0 or freqs[-1] != nyq or np.any(np.diff(freqs) <= 0):
+        raise ParameterError("freqs must rise strictly from 0 to Nyquist")
+    x = np.linspace(0.0, nyq, 1 + fft_length(taps))
+    fx = np.interp(x, freqs, np.asarray(gains, dtype=np.float64))
+    # the phase shift makes the first `taps` values of the inverse transform the filter
+    shift = np.exp(-(taps - 1) / 2. * 1j * np.pi * x / nyq)
+    # symmetric Hamming window; firwin2's coefficient is `1.0 - 0.54`, one
+    # ulp below the double 0.46, and only it reproduces firwin2's taps
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    return sp_fft.irfft(fx * shift)[:taps] * window
+
+
 def fir_response_db(taps_arr: np.ndarray, freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
     """Gain of an FIR in dB at arbitrary frequencies, by direct summation.
 
@@ -240,7 +268,7 @@ def zero_delay_filter(x: np.ndarray, taps: int,
     one multiply and one inverse FFT.  The centred valid part of each
     convolution cancels the group delay exactly: every output has the
     length of the input and no time shift.  Transform lengths and
-    operation order are those of ``scipy.signal.fftconvolve(padded, h,
+    operation order are those of scipy's ``fftconvolve(padded, h,
     "valid")``, so the output equals it bit for bit.
     """
     if taps < 1 or taps % 2 == 0:
@@ -321,6 +349,15 @@ def _hann_rfft(x: np.ndarray, frame_len: int, hop: int, n_fft: int | None = None
     return np.fft.rfft(frame_signal(x, frame_len, hop) * hann, n=n_fft, axis=1)
 
 
+def _check_stft(signal: Signal, frame_len: int, hop: int) -> None:
+    if signal.channels != 1:
+        raise ParameterError("stft expects a mono signal; mix its channels down first")
+    if frame_len < 2 or (frame_len & (frame_len - 1)) != 0:
+        raise ParameterError(f"frame_len must be a power of two >= 2, got {frame_len}")
+    if not (0 < hop <= frame_len):
+        raise ParameterError(f"hop must satisfy 0 < hop <= frame_len, got {hop}")
+
+
 def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     """Complex one-sided STFT with a periodic Hann analysis window.
 
@@ -328,12 +365,7 @@ def stft_complex(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     :func:`stft` because the public Spectrogram carries magnitudes only;
     :func:`spectral_frame_energy` takes these coefficients.
     """
-    if signal.channels != 1:
-        raise ParameterError("stft expects a mono signal; mix its channels down first")
-    if frame_len < 2 or (frame_len & (frame_len - 1)) != 0:
-        raise ParameterError(f"frame_len must be a power of two >= 2, got {frame_len}")
-    if not (0 < hop <= frame_len):
-        raise ParameterError(f"hop must satisfy 0 < hop <= frame_len, got {hop}")
+    _check_stft(signal, frame_len, hop)
     return _hann_rfft(signal.samples, frame_len, hop)
 
 
@@ -342,13 +374,22 @@ def stft(signal: Signal, frame_len: int, hop: int) -> Spectrogram:
 
     ``frame_times`` are frame centers.  Frame energy satisfies Parseval
     against the Hann-windowed time frames (see
-    :func:`spectral_frame_energy`).
+    :func:`spectral_frame_energy`).  The magnitudes equal
+    ``np.abs(stft_complex(...))`` bit for bit, but are computed
+    :data:`STFT_BLOCK_FRAMES` frames at a time, so the complex
+    coefficients of no more than one block are held at once.
     """
-    coeffs = stft_complex(signal, frame_len, hop)
-    n_frames = coeffs.shape[0]
+    _check_stft(signal, frame_len, hop)
+    x = signal.samples
+    n_frames = frame_signal(x, frame_len, hop).shape[0]
+    magnitudes = np.empty((n_frames, frame_len // 2 + 1))
+    for first in range(0, n_frames, STFT_BLOCK_FRAMES):
+        last = min(first + STFT_BLOCK_FRAMES, n_frames)
+        span = x[first * hop:(last - 1) * hop + frame_len]
+        np.abs(_hann_rfft(span, frame_len, hop), out=magnitudes[first:last])
     starts = np.arange(n_frames) * hop
     return Spectrogram(
-        magnitudes=np.abs(coeffs),
+        magnitudes=magnitudes,
         frame_times=(starts + frame_len / 2.0) / signal.sample_rate,
         bin_freqs=np.fft.rfftfreq(frame_len, 1.0 / signal.sample_rate),
         frame_len=frame_len,

@@ -21,12 +21,18 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.signal import firwin2
 
 from .._parallel import pmap, worker_count
 from .._rng import stream, substream_id
 from ..dataset import Manifest, SessionRecord, save_manifest, write_wav
-from ..dsp import DEFAULT_BANDPASS_TAPS, Signal, design_bandpass_fir, fir_spectrum, zero_delay_filter
+from ..dsp import (
+    DEFAULT_BANDPASS_TAPS,
+    Signal,
+    design_bandpass_fir,
+    design_sampled_response_fir,
+    fir_spectrum,
+    zero_delay_filter,
+)
 from .world import DEFAULT_TILT_TAPS, BaseSource, WorldSpec, event_index, event_signs, validate_world
 
 
@@ -178,7 +184,7 @@ def _tilt_taps(slope_db_per_khz: float, fs: float, ref_hz: float, ntaps: int,
     if bump is not None:
         center, gain_db, width = bump
         gains_db = gains_db + gain_db * np.exp(-0.5 * ((freqs - center) / width) ** 2)
-    return firwin2(ntaps, freqs, 10.0 ** (gains_db / 20.0), fs=fs)
+    return design_sampled_response_fir(freqs, 10.0 ** (gains_db / 20.0), fs, ntaps)
 
 
 def _source_fir(src: BaseSource, fs: float, device_id: str, unhealthy: bool) -> np.ndarray:

@@ -285,8 +285,12 @@ def validate_world(world: WorldSpec) -> None:
             problem = bandpass_problem(lo, hi, world.sample_rate, taps)
             if problem:
                 raise ParameterError(f"source {src.name}: {problem}")
-        if src.kind == "device-tilt" and int(params.get("ntaps", DEFAULT_TILT_TAPS)) % 2 == 0:
-            raise ParameterError(f"source {src.name}: tilt filter needs an odd number of taps")
+        if src.kind == "device-tilt":
+            ntaps = int(params.get("ntaps", DEFAULT_TILT_TAPS))
+            if ntaps < 3 or ntaps % 2 == 0:
+                raise ParameterError(
+                    f"source {src.name}: tilt filter needs an odd number of taps >= 3, got {ntaps}"
+                )
         for idx in src.forced_active_subjects:
             if not (0 <= idx < world.cohort.n_subjects):
                 raise ParameterError(

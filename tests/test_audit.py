@@ -137,6 +137,8 @@ class TestBandScan:
         assert uniform_band_plan(8_000.0, 3_000.0) == [(250.0, 3_000.0), (3_000.0, 6_000.0)]
         with pytest.raises(ParameterError, match="band width must exceed 250 Hz"):
             uniform_band_plan(8_000.0, 250.0)
+        with pytest.raises(ParameterError, match="band width must exceed 250 Hz, got nan"):
+            uniform_band_plan(8_000.0, float("nan"))
 
     def test_band_plan_validation(self, tone_manifest):
         cfg = FeatureConfig(band_lo=250.0, band_hi=10_000.0)

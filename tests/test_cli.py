@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vibroaudit
 from tablegen import day_level_table, device_shortcut_table, rotated_pair_table
 from vibroaudit.cli import EXIT_ERROR, EXIT_FLAGS, EXIT_OK, _tone_frame_len, main
 from vibroaudit.dataset import FeatureConfig, ingest_wav, load_manifest
@@ -58,6 +63,16 @@ def test_every_scenario_runs_the_documented_workflow(scenario, tmp_path, capsys)
     doc = read_report(out / "report.json")
     for name in SUITE_SECTIONS:
         assert name in doc["sections"] or doc["skipped_sections"].get(name), name
+
+
+def test_importing_the_cli_loads_no_scipy_signal():
+    # scipy.signal alone takes about half a second and 50 MB to import
+    code = ("import sys, vibroaudit, vibroaudit.cli; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']])")
+    env = {**os.environ, "PYTHONPATH": str(Path(vibroaudit.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestSynth:
@@ -336,6 +351,28 @@ class TestAuditSingleAnalyses:
         assert abs(sec["phi_degrees"] - 10.0) < 2.0
         assert (out / "rotation_curve.csv").exists()
         assert (out / "rotation_scatter.csv").exists()
+
+    def test_rotate_refuses_a_feature_named_twice(self, tmp_path, capsys):
+        table = rotated_pair_table(n_subjects=6, reps=4)
+        csv_path = tmp_path / "rot.csv"
+        table.to_csv(csv_path)
+        name = table.feature_names[0]
+        rc = run(
+            "audit", "rotate", "--features", str(csv_path),
+            "--feature-pair", f"{name},{name}",
+            "--out", str(tmp_path / "rot"), "--seed", "0",
+        )
+        assert rc == EXIT_ERROR
+        assert f"feature '{name}' named twice" in capsys.readouterr().err
+
+    def test_band_scan_refuses_a_nan_band_width(self, tone_dataset, tmp_path, capsys):
+        rc = run(
+            "audit", "band-scan",
+            "--manifest", str(tone_dataset / "manifest.json"),
+            "--band-width-hz", "nan", "--out", str(tmp_path / "bs"),
+        )
+        assert rc == EXIT_ERROR
+        assert "band width must exceed 250 Hz, got nan" in capsys.readouterr().err
 
     def test_counterfactual_auto_day_regrouping(self, tmp_path):
         csv_path = tmp_path / "day.csv"

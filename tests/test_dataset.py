@@ -636,6 +636,8 @@ class TestFeatureTable:
         assert two.matrix.shape == (6, 2)
         with pytest.raises(ParameterError):
             table.restrict_features(["nope"])
+        with pytest.raises(ParameterError, match="feature 'mfcc08_mean' named twice"):
+            table.restrict_features(["mfcc08_mean", "mfcc08_mean"])
 
     def test_rows_are_the_feature_map_of_each_segment(self, tmp_path):
         manifest, cfg, table = toy_table(tmp_path)

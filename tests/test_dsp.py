@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, firwin2
 
 from vibroaudit.dataset import FeatureConfig, extract_features
 from vibroaudit.dsp import (
+    STFT_BLOCK_FRAMES,
     MfccConfig,
     Signal,
     Spectrogram,
@@ -22,6 +23,7 @@ from vibroaudit.dsp import (
     bandpass,
     dct2_matrix,
     design_bandpass_fir,
+    design_sampled_response_fir,
     fir_response_db,
     fir_spectrum,
     frame_signal,
@@ -158,6 +160,37 @@ class TestBandpassDesign:
             bandpass(s, 250, 10_000, taps=512)
         with pytest.raises(ParameterError):
             bandpass(s, 0, 10_000)
+
+
+class TestSampledResponseDesign:
+    """The frequency-sampling design equals scipy's firwin2, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        half_taps=st.integers(1, 256),
+        fs=st.floats(8_000.0, 100_000.0),
+        slope=st.floats(-3.0, 3.0),
+        bump=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(-12.0, 12.0), st.floats(20.0, 5_000.0)),
+    )
+    def test_equals_firwin2(self, half_taps, fs, slope, bump):
+        taps = 2 * half_taps + 1
+        freqs = np.linspace(0.0, fs / 2.0, 257)
+        gains_db = slope * (freqs - 1_000.0) / 1000.0
+        if bump is not None:
+            center, gain_db, width = bump[0] * fs / 2.0, bump[1], bump[2]
+            gains_db = gains_db + gain_db * np.exp(-0.5 * ((freqs - center) / width) ** 2)
+        gains = 10.0 ** (gains_db / 20.0)
+        got = design_sampled_response_fir(freqs, gains, fs, taps)
+        assert got.tobytes() == firwin2(taps, freqs, gains, fs=fs).tobytes()
+
+    def test_errors(self):
+        freqs, gains = np.array([0.0, 4_000.0, 8_000.0]), np.ones(3)
+        for taps in (1, 4, 128):
+            with pytest.raises(ParameterError, match="odd integer >= 3"):
+                design_sampled_response_fir(freqs, gains, 16_000.0, taps)
+        for bad in ([0.0, 4_000.0, 7_999.0], [1.0, 4_000.0, 8_000.0], [0.0, 8_000.0, 8_000.0]):
+            with pytest.raises(ParameterError, match="from 0 to Nyquist"):
+                design_sampled_response_fir(np.array(bad), gains, 16_000.0, 5)
 
 
 class TestBandpassFilter:
@@ -326,6 +359,24 @@ class TestStft:
         assert spec.frame_times[0] == pytest.approx(512 / FS)
         assert np.all(np.diff(spec.bin_freqs) > 0)
         assert spec.bin_freqs[-1] == pytest.approx(FS / 2)
+
+    @pytest.mark.parametrize("n_frames", [1, STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES,
+                                          STFT_BLOCK_FRAMES + 1, 3 * STFT_BLOCK_FRAMES + 5])
+    @pytest.mark.parametrize("frame_len, hop", [(256, 128), (256, 256)])
+    def test_blocked_magnitudes_equal_the_whole_transform(self, n_frames, frame_len, hop):
+        # a few samples past the last frame, which no frame covers
+        x = np.random.default_rng(n_frames).normal(size=(n_frames - 1) * hop + frame_len + 7)
+        spec = stft(Signal(x, FS), frame_len, hop)
+        whole = np.abs(stft_complex(Signal(x, FS), frame_len, hop))
+        assert spec.magnitudes.shape == (n_frames, frame_len // 2 + 1)
+        assert spec.magnitudes.tobytes() == whole.tobytes()
+
+    def test_blocked_magnitudes_of_a_session(self):
+        # one 3.6 s session at 100 kHz in the tone detector's 2048-sample frames
+        x = np.random.default_rng(0).normal(scale=0.1, size=360_000)
+        spec = stft(Signal(x, FS), 2048, 1024)
+        assert spec.n_frames == 350
+        assert spec.magnitudes.tobytes() == np.abs(stft_complex(Signal(x, FS), 2048, 1024)).tobytes()
 
     def test_errors(self):
         with pytest.raises(ParameterError):

@@ -7,11 +7,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.signal import firwin2
 from scipy.stats import ks_2samp
 
 from vibroaudit.dataset import ingest_wav, load_manifest
 from vibroaudit.errors import CapacityError, ParameterError
 from vibroaudit.sigsynth import (
+    SCENARIOS,
     BaseSource,
     CohortSpec,
     QuantizerSpec,
@@ -189,6 +191,8 @@ class TestWorldValidation:
              "source day-hum: taps must be an odd integer >= 3, got 512"),
             ("device-shift", "device-tilt", {"ntaps": 128},
              "source device-tilt: tilt filter needs an odd number of taps"),
+            ("device-shift", "device-tilt", {"ntaps": 1},
+             "source device-tilt: tilt filter needs an odd number of taps >= 3, got 1"),
         ],
     )
     def test_source_filters_are_checked_before_any_render(self, monkeypatch, name, source, params, message):
@@ -531,6 +535,30 @@ class TestPresets:
         assert w.seed == 2
         with pytest.raises(ParameterError):
             scenario_preset("treadmill")
+
+    def test_every_tilt_kernel_equals_firwin2(self, monkeypatch):
+        # every kernel a preset's device-tilt source renders: each device,
+        # healthy and unhealthy (the health delta on its device), with its bump
+        designs = []
+        design = render.design_sampled_response_fir
+
+        def recording_design(freqs, gains, fs, taps):
+            designs.append((freqs, gains, fs, taps))
+            return design(freqs, gains, fs, taps)
+
+        monkeypatch.setattr(render, "design_sampled_response_fir", recording_design)
+        kernels = []
+        for name in SCENARIOS:
+            w = scenario_preset(name, seed=0)
+            for src in w.base_sources:
+                if src.kind == "device-tilt":
+                    for device in src.waveform_params["slopes_db_per_khz"]:
+                        for unhealthy in (False, True):
+                            kernels.append(render._source_fir(src, w.sample_rate, device, unhealthy))
+        # device-shift: DL, DR healthy and DR unhealthy differ; DL ignores health
+        assert len({k.tobytes() for k in kernels}) == 3 and len(designs) == 4
+        for (freqs, gains, fs, taps), got in zip(designs, kernels):
+            assert got.tobytes() == firwin2(taps, freqs, gains, fs=fs).tobytes()
 
     def test_all_presets_validate(self):
         for name in ("clean", "tone-bias", "randomized-tone", "device-shift", "day-nuisance"):
