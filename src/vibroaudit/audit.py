@@ -66,6 +66,15 @@ from .learn import CvResult, loso_accuracies, loso_cv, pca2
 
 AUDIT_COVARIATES = ("device", "side", "subject")
 DEFAULT_BAND_WIDTH_HZ = 10_000.0
+# defaults of the tone detector's gates
+TONE_PERSISTENCE_MIN = 0.9
+TONE_PROMINENCE_MIN_DB = 6.0
+# default Monte-Carlo sizes of conditioning, mixing and counterfactual
+# relabeling, and the control quantile that conditioning flags below
+CONTROL_REPEATS = 10_000
+CONTROL_QUANTILE = 0.025
+MIXING_REPEATS = 500
+RELABEL_PERMUTATIONS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +262,8 @@ def _above_window_median(padded: np.ndarray, power: np.ndarray, threshold: float
 
 def detect_persistent_tones(
     spec: Spectrogram,
-    persistence_min: float = 0.9,
-    prominence_min_db: float = 6.0,
+    persistence_min: float = TONE_PERSISTENCE_MIN,
+    prominence_min_db: float = TONE_PROMINENCE_MIN_DB,
     inactivity_mask: np.ndarray | None = None,
     median_window_hz: float = 2000.0,
 ) -> list[ToneDetection]:
@@ -570,10 +579,10 @@ class ConditioningResult:
 def condition_on_covariate(
     table: FeatureTable,
     covariate: str,
-    control_repeats: int = 10_000,
+    control_repeats: int = CONTROL_REPEATS,
     control_fraction: float = 0.5,
     seed: int = 0,
-    quantile: float = 0.025,
+    quantile: float = CONTROL_QUANTILE,
     group_key: str = "subject",
     target: str = "health",
 ) -> ConditioningResult:
@@ -698,7 +707,7 @@ def incremental_mixing_curve(
     base_value: str,
     added_value: str,
     counts: Sequence[int] | None = None,
-    repeats: int = 500,
+    repeats: int = MIXING_REPEATS,
     seed: int = 0,
     group_key: str = "subject",
     target: str = "health",
@@ -930,7 +939,7 @@ class RelabelResult:
 def counterfactual_relabel(
     table: FeatureTable,
     relabel: Mapping[str, tuple[str, str]],
-    n_permutations: int = 200,
+    n_permutations: int = RELABEL_PERMUTATIONS,
     seed: int = 0,
     group_key: str = "session_id",
     target: str = "health",

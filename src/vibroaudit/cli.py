@@ -16,7 +16,6 @@ that 2 stays unambiguous.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -26,7 +25,13 @@ import numpy as np
 from . import __version__
 from ._parallel import pmap
 from .audit import (
+    CONTROL_QUANTILE,
+    CONTROL_REPEATS,
     DEFAULT_BAND_WIDTH_HZ,
+    MIXING_REPEATS,
+    RELABEL_PERMUTATIONS,
+    TONE_PERSISTENCE_MIN,
+    TONE_PROMINENCE_MIN_DB,
     band_scan,
     condition_on_covariate,
     counterfactual_relabel,
@@ -45,6 +50,7 @@ from .dataset import (
     extract_table,
     ingest_wav,
     load_manifest,
+    read_json,
     wav_sample_rate,
 )
 from .dsp import Signal, stft
@@ -86,11 +92,9 @@ AUDIT_ANALYSES = (
 
 # per-analysis Monte-Carlo repeat defaults when --repeats is not given;
 # the suite lowers conditioning and mixing to keep full runs short
-DEFAULT_REPEATS = {"condition": 10_000, "mixing": 500, "counterfactual": 200}
+DEFAULT_REPEATS = {"condition": CONTROL_REPEATS, "mixing": MIXING_REPEATS,
+                   "counterfactual": RELABEL_PERMUTATIONS}
 SUITE_REPEATS = {"condition": 1_000, "mixing": 200, "counterfactual": 200}
-
-TONE_PERSISTENCE_MIN = 0.9
-TONE_PROMINENCE_MIN_DB = 6.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--covariate", default="device",
                          choices=("device", "side"))
     p_audit.add_argument("--repeats", type=int, default=None)
-    p_audit.add_argument("--quantile", type=float, default=0.025)
+    p_audit.add_argument("--quantile", type=float, default=CONTROL_QUANTILE)
     p_audit.add_argument("--feature-pair", default=None,
                          help="two feature names for the rotation analysis")
     p_audit.add_argument("--grid-degrees", default=None,
@@ -170,17 +174,8 @@ def _load_feature_config(path: str | None, sample_rate: float | None) -> Feature
     """Explicit config file, else the default config at the data's sample
     rate (probed from the first session)."""
     if path is not None:
-        return FeatureConfig.from_json_dict(_read_json(path, "--config"))
+        return FeatureConfig.from_json_dict(read_json(path, "--config", FormatError))
     return default_feature_config(sample_rate)
-
-
-def _read_json(path: str, option: str):
-    """The JSON value in the file an option names; FormatError if it does not parse."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8, overlong integers
-            raise FormatError(f"{option} {path}: not valid JSON ({exc})") from None
 
 
 def _parse_bands(text: str) -> list[tuple[float, float]]:
@@ -311,17 +306,15 @@ def _auto_day_relabel(table: FeatureTable) -> dict | None:
 
 
 def _load_relabel(path: str) -> dict:
-    raw = _read_json(path, "--relabel")
+    raw = read_json(path, "--relabel", FormatError)
     if not isinstance(raw, dict):
         raise ParameterError("relabel file must be a JSON object")
-    relabel = {}
     for group, pair in raw.items():
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (type(pair) is list and len(pair) == 2 and all(type(s) is str for s in pair)):
             raise ParameterError(
-                f"relabel entry {group!r} must be [subject, class], got {pair!r}"
+                f"relabel entry {group!r} must be [subject, class] strings, got {pair!r}"
             )
-        relabel[str(group)] = (str(pair[0]), str(pair[1]))
-    return relabel
+    return {group: tuple(pair) for group, pair in raw.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .dsp import (
     power_frames,
     zero_delay_filter,
 )
-from .errors import FormatError, ManifestError, ParameterError
+from .errors import FormatError, ManifestError, ParameterError, VibroauditError
 
 HEALTH_LABELS = ("Healthy", "Unhealthy")
 SIDES = ("left", "right")
@@ -50,6 +50,33 @@ LABEL_COLUMNS = ("session_id", "repetition_index", "subject", "health", "side", 
 LABEL_FIELDS = {"session_id": "session_id", "subject": "subject_id", "health": "health_label",
                 "side": "side", "device": "device_id"}
 _REP_COLUMN = LABEL_COLUMNS.index("repetition_index")
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+
+def read_json(path, what: str, error: type[VibroauditError]):
+    """The JSON value in the UTF-8 file at ``path``; ``error`` if it does not parse.
+
+    ``what`` names the file kind in the message.  A missing or unreadable
+    file raises the OSError unchanged.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, overlong integers
+        raise error(f"{what} {path}: not valid JSON ({exc})") from None
+
+
+def json_text(obj) -> str:
+    """The one JSON layout of every file written: sorted keys, two-space
+    indents and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON in the :func:`json_text` layout."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -81,51 +108,10 @@ class Manifest:
         return p if p.is_absolute() else self.root / p
 
 
-def _json_int(value, where: str, key: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or isinstance(value, bool) or (isinstance(value, float) and value != n):
-        raise ManifestError(f"{where}: {key} must be an integer, got {value!r}")
-    return n
-
-
-def _json_boundaries(value, where: str) -> list[float] | None:
-    if value is None:
-        return None
-    try:
-        bounds = [float(b) for b in value] if isinstance(value, list) else None
-    except (TypeError, ValueError, OverflowError):
-        bounds = None
-    if bounds is None or not all(np.isfinite(bounds)):
-        raise ManifestError(
-            f"{where}: repetition_boundaries must be a list of finite numbers, got {value!r}"
-        )
-    return bounds
-
-
-def _session_from_json(obj: dict, where: str) -> SessionRecord:
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{where}: a session must be an object, got {obj!r}")
-    required = ("session_id", "subject_id", "side", "device_id", "health_label", "wav_path", "n_repetitions")
-    for key in required:
-        if key not in obj:
-            raise ManifestError(f"{where}: missing required field {key!r}")
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ManifestError(f"{where}: metadata must be an object, got {metadata!r}")
-    rec = SessionRecord(
-        session_id=str(obj["session_id"]),
-        subject_id=str(obj["subject_id"]),
-        side=str(obj["side"]),
-        device_id=str(obj["device_id"]),
-        health_label=str(obj["health_label"]),
-        wav_path=str(obj["wav_path"]),
-        n_repetitions=_json_int(obj["n_repetitions"], where, "n_repetitions"),
-        repetition_boundaries=_json_boundaries(obj.get("repetition_boundaries"), where),
-        metadata=dict(metadata),
-    )
+def _session_from_json(obj, where: str) -> SessionRecord:
+    rec = SessionRecord(**_json_kwargs(SessionRecord, obj, where, ManifestError))
+    if rec.repetition_boundaries is not None:
+        rec.repetition_boundaries = [float(b) for b in rec.repetition_boundaries]
     if rec.health_label not in HEALTH_LABELS:
         raise ManifestError(
             f"session {rec.session_id}: health_label must be one of {HEALTH_LABELS}, got {rec.health_label!r}"
@@ -144,18 +130,15 @@ def load_manifest(path) -> Manifest:
 
     Schema: {"sessions": [{session_id, subject_id, side, device_id,
     health_label, wav_path, n_repetitions, repetition_boundaries?,
-    metadata?}, ...]} with at least one session.  wav_path is resolved
+    metadata?}, ...]} with at least one session, each checked like a
+    config (exact JSON types, no unknown keys).  wav_path is resolved
     relative to the manifest's directory and must exist.
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_json(path, "manifest", ManifestError)
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("sessions"), list):
         raise ManifestError(f"{path}: top level must be an object with a 'sessions' list")
     if not payload["sessions"]:
@@ -186,8 +169,7 @@ def save_manifest(manifest: Manifest, path) -> None:
     # optional fields are written only when set
     sessions = [{k: v for k, v in asdict(rec).items() if v is not None and v != {}}
                 for rec in manifest.sessions]
-    text = json.dumps({"sessions": sessions}, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(path, {"sessions": sessions})
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +400,10 @@ class FeatureConfig:
     def from_json_dict(obj) -> "FeatureConfig":
         """Inverse of :meth:`to_json_dict`; every key but the band edges
         (and, inside ``mfcc``, fmin and fmax) may be left out."""
-        kwargs = _config_kwargs(FeatureConfig, obj, "feature config")
+        kwargs = _json_kwargs(FeatureConfig, obj, "feature config", FormatError)
         if kwargs.get("mfcc") is not None:
-            kwargs["mfcc"] = MfccConfig(**_config_kwargs(MfccConfig, kwargs["mfcc"], "feature config mfcc"))
+            mfcc = _json_kwargs(MfccConfig, kwargs["mfcc"], "feature config mfcc", FormatError)
+            kwargs["mfcc"] = MfccConfig(**mfcc)
         for key in ("aggregators", "extra_features"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -441,32 +424,41 @@ def default_feature_config(sample_rate: float | None) -> FeatureConfig:
     return FeatureConfig(band_lo=250.0, band_hi=hi)
 
 
-# JSON form of each config field type: (description, check)
+def _finite(v) -> bool:
+    """A JSON number that fits a float; the comparison also rejects nan,
+    infinities and ints beyond float range."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# JSON form of each dataclass field type read from a file: (description, check)
 _JSON_TYPES = {
-    # the comparison also rejects nan, infinities and ints beyond float range
-    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "float": ("a finite number", _finite),
     "int": ("an integer", lambda v: type(v) is int),
     "str": ("a string", lambda v: type(v) is str),
     "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    "list[float] | None": ("a list of finite numbers or null",
+                           lambda v: v is None or type(v) is list and all(map(_finite, v))),
     "MfccConfig | None": ("an object or null", lambda v: v is None or type(v) is dict),
+    "dict": ("an object", lambda v: type(v) is dict),
 }
 
 
-def _config_kwargs(cls, obj, where: str) -> dict:
-    """Keyword arguments of config dataclass ``cls`` from a parsed JSON value, checked
-    for shape, keys and JSON types (FormatError); ``cls`` checks value ranges."""
+def _json_kwargs(cls, obj, where: str, error: type[VibroauditError]) -> dict:
+    """Keyword arguments of dataclass ``cls`` from a parsed JSON value, checked for
+    shape, keys and JSON types (``error``); ``cls`` or its caller checks value ranges."""
     if type(obj) is not dict:
-        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+        raise error(f"{where} must be a JSON object, got {type(obj).__name__}")
     types = {f.name: f.type for f in fields(cls)}
     for key, value in obj.items():
         if key not in types:
-            raise FormatError(f"{where}: unknown key {key!r}; known keys are {sorted(types)}")
+            raise error(f"{where}: unknown key {key!r}; known keys are {sorted(types)}")
         what, ok = _JSON_TYPES[types[key]]
         if not ok(value):
-            raise FormatError(f"{where}: {key!r} must be {what}, got {value!r}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+            raise error(f"{where}: {key!r} must be {what}, got {value!r}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in obj]
     if missing:
-        raise FormatError(f"{where}: missing required key {missing[0]!r}")
+        raise error(f"{where}: missing required key {missing[0]!r}")
     return dict(obj)
 
 

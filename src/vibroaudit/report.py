@@ -37,6 +37,7 @@ from .audit import (
     ToneDetection,
     summarize_draws,
 )
+from .dataset import json_text, read_json, write_json
 from .errors import FormatError, ParameterError
 from .learn import CvResult
 
@@ -137,10 +138,10 @@ class AuditReport:
         return jsonable(doc)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     def write(self, path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
+        write_json(path, self.to_json_dict())
 
 
 REQUIRED_REPORT_FIELDS = (
@@ -160,10 +161,7 @@ def read_report(path) -> dict:
     Unknown keys are preserved untouched so newer reports stay readable;
     only the structural skeleton is validated.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"report {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "report", FormatError)
     if not isinstance(doc, dict):
         raise FormatError(f"report {path} must be a JSON object")
     missing = [k for k in REQUIRED_REPORT_FIELDS if k not in doc]
@@ -251,13 +249,9 @@ def band_scan_section(res: BandScanResult, seed: int) -> dict:
 
 
 def _detection_dict(det: ToneDetection) -> dict:
-    return {
-        "center_freq_hz": det.center_freq,
-        "persistence": det.persistence,
-        "prominence_db": det.prominence_db,
-        "present_during_inactivity": det.present_during_inactivity,
-        "bin_span": list(det.bin_span),
-    }
+    out = dict(vars(det))
+    out["center_freq_hz"] = out.pop("center_freq")
+    return out
 
 
 def tones_section(
@@ -305,15 +299,7 @@ def prevalence_section(
             f"tone-prevalence: detections cooccur with class {richer!r} "
             f"(p={res.p_value:.3g} < {alpha})"
         )
-    return {
-        "seed": seed,
-        "classes": list(res.classes),
-        "counts": {c: list(v) for c, v in res.counts.items()},
-        "prevalence": dict(res.prevalence),
-        "p_value": res.p_value,
-        "alpha": alpha,
-        "flags": flags,
-    }
+    return {"seed": seed, **vars(res), "alpha": alpha, "flags": flags}
 
 
 def covariate_section(
@@ -368,12 +354,7 @@ def conditioning_section(res: ConditioningResult, seed: int) -> dict:
 def mixing_section(res: MixingCurveResult, seed: int) -> dict:
     return {
         "seed": seed,
-        "covariate": res.covariate,
-        "base_value": res.base_value,
-        "added_value": res.added_value,
-        "n_base_sessions": res.n_base_sessions,
-        "full_accuracy": res.full_accuracy,
-        "counts": list(res.counts),
+        **vars(res),
         "stratified": [distribution_summary(s) for s in res.stratified],
         "reference": [distribution_summary(s) for s in res.reference],
         "flags": [],
@@ -381,20 +362,7 @@ def mixing_section(res: MixingCurveResult, seed: int) -> dict:
 
 
 def rotation_section(res: RotationResult, seed: int) -> dict:
-    return {
-        "seed": seed,
-        "subgroup_key": res.subgroup_key,
-        "subgroup_values": list(res.subgroup_values),
-        "rotated_value": res.rotated_value,
-        "feature_names": list(res.feature_names),
-        "v_a": list(res.v_a),
-        "v_b": list(res.v_b),
-        "phi_degrees": res.phi_degrees,
-        "unmodified_accuracy": res.unmodified_accuracy,
-        "accuracy_at_aligned": res.accuracy_at_aligned,
-        "accuracy_vs_rotation": [[t, a] for t, a in res.accuracy_vs_rotation],
-        "flags": [],
-    }
+    return {"seed": seed, **vars(res), "flags": []}
 
 
 def counterfactual_section(

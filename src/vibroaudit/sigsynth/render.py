@@ -15,7 +15,6 @@ synthesis holds about one session per worker in memory, not the cohort.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -24,7 +23,7 @@ import numpy as np
 
 from .._parallel import pmap, worker_count
 from .._rng import stream, substream_id
-from ..dataset import Manifest, SessionRecord, save_manifest, write_wav
+from ..dataset import Manifest, SessionRecord, save_manifest, write_json, write_wav
 from ..dsp import (
     DEFAULT_BANDPASS_TAPS,
     Signal,
@@ -477,8 +476,5 @@ def write_dataset(sessions: Iterable[RecordingSession], out_dir, world: WorldSpe
         }
 
     save_manifest(Manifest(sessions=records, root=out_dir), manifest_path)
-    truth_payload = {"world": world.to_json_dict(), "sessions": truth_sessions}
-    truth_path.write_text(
-        json.dumps(truth_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(truth_path, {"world": world.to_json_dict(), "sessions": truth_sessions})
     return manifest_path

@@ -17,6 +17,13 @@ from vibroaudit.dsp import Signal, stft
 from vibroaudit.report import canonical_json, read_report, strip_timing, write_series_csv
 from vibroaudit.sigsynth import SCENARIOS
 
+# JSON texts that Python's parser refuses: nesting beyond the recursion
+# limit, and an integer beyond the int-from-string digit limit
+UNPARSABLE_JSON = {
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "long-int": '{"n_repetitions": ' + "1" * 5_000 + "}",
+}
+
 SUITE_SECTIONS = ("band_scan", "tones", "prevalence", "covariate", "conditioning",
                   "mixing_curve", "rotation", "counterfactual")
 
@@ -519,6 +526,50 @@ class TestErrorPaths:
         )
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: --relabel {spec_path}: not valid JSON")
+
+    @pytest.mark.parametrize("pair", [[1, "Healthy"], [None, "Healthy"], ["g0", False]])
+    def test_relabel_entry_that_is_not_two_strings_exits_one(self, tmp_path, capsys, pair):
+        csv_path = tmp_path / "day.csv"
+        day_level_table().to_csv(csv_path)
+        spec_path = tmp_path / "relabel.json"
+        spec_path.write_text(json.dumps({"day0": pair}))
+        rc = run(
+            "audit", "counterfactual", "--features", str(csv_path),
+            "--relabel", str(spec_path), "--out", str(tmp_path / "cf"),
+        )
+        assert rc == EXIT_ERROR
+        assert "relabel entry 'day0' must be [subject, class] strings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["manifest", "--config", "--relabel"])
+    @pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+    def test_json_that_python_cannot_parse_exits_one(self, tone_dataset, tmp_path, capsys,
+                                                    kind, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        csv_path = tmp_path / "day.csv"
+        day_level_table().to_csv(csv_path)
+        manifest = str(tone_dataset / "manifest.json")
+        argv = {
+            "manifest": ["features", "--manifest", str(path)],
+            "--config": ["features", "--manifest", manifest, "--config", str(path)],
+            "--relabel": ["audit", "counterfactual", "--features", str(csv_path),
+                          "--relabel", str(path)],
+        }[kind]
+        assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {kind} {path}: not valid JSON")
+
+    @pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+    def test_unparsable_manifest_prints_no_traceback(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(vibroaudit.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "vibroaudit.cli", "features", "--manifest", str(path),
+             "--out", str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error: manifest ") and "Traceback" not in done.stderr
 
     def test_empty_manifest_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -111,16 +111,50 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "manifest.json")
 
-    @pytest.mark.parametrize("value", ["x", 2.5, None, [2], True])
+    @pytest.mark.parametrize("value", ["x", 2.5, None, [2], True, 3.0])
     def test_non_integer_n_repetitions(self, tmp_path, value):
         small_wav(tmp_path / "s000.wav")
         sessions = [session_obj(0, n_repetitions=value)]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
-        with pytest.raises(ManifestError, match="n_repetitions must be an integer"):
+        with pytest.raises(ManifestError, match="'n_repetitions' must be an integer"):
             load_manifest(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["s000"], {"id": "s000"}])
     @pytest.mark.parametrize(
-        "bounds", [[0.0, float("nan"), 2.0], [0.0, float("inf")], ["a", "b"], 3.0, [[1.0]]]
+        "key", ["session_id", "subject_id", "side", "device_id", "health_label", "wav_path"]
+    )
+    def test_string_fields_must_be_json_strings(self, tmp_path, key, value):
+        # a null subject_id once became the subject "None", merging subjects
+        small_wav(tmp_path / "s000.wav")
+        sessions = [session_obj(0, **{key: value})]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        with pytest.raises(ManifestError, match=f"'{key}' must be a string"):
+            load_manifest(tmp_path / "manifest.json")
+
+    def test_unknown_key_is_refused_and_known_keys_listed(self, tmp_path):
+        small_wav(tmp_path / "s000.wav")
+        sessions = [session_obj(0, n_repetitions=1, repetition_boundary=[0.0, 0.5])]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload(sessions)))
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(tmp_path / "manifest.json")
+        assert "unknown key 'repetition_boundary'" in str(exc.value)
+        assert f"known keys are {sorted(f.name for f in fields(SessionRecord))}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000 + "]" * 100_000,
+                 '{"sessions": [{"n_repetitions": ' + "1" * 5_000 + "}]}"],
+        ids=["deep", "long-int"],
+    )
+    def test_unparsable_json_is_a_manifest_error(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=f"manifest {re.escape(str(path))}: not valid JSON"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[0.0, float("nan"), 2.0], [0.0, float("inf")], ["a", "b"], 3.0, [[1.0]], [0, 10**400],
+         [0.0, True]],
     )
     def test_bad_boundaries(self, tmp_path, bounds):
         small_wav(tmp_path / "s000.wav")
@@ -131,7 +165,7 @@ class TestManifest:
 
     def test_session_must_be_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest_payload([["s000"]])))
-        with pytest.raises(ManifestError, match="must be an object"):
+        with pytest.raises(ManifestError, match="must be a JSON object"):
             load_manifest(tmp_path / "manifest.json")
 
     def test_save_round_trip(self, tmp_path):
@@ -867,8 +901,8 @@ class TestFuzz:
     @given(
         over=st.dictionaries(
             st.sampled_from(
-                ["session_id", "side", "health_label", "wav_path", "n_repetitions",
-                 "repetition_boundaries", "metadata"]
+                ["session_id", "subject_id", "side", "device_id", "health_label", "wav_path",
+                 "n_repetitions", "repetition_boundaries", "metadata", "repetition_boundary"]
             ),
             json_values,
             max_size=3,

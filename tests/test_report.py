@@ -197,6 +197,16 @@ class TestAuditReport:
         with pytest.raises(FormatError, match="schema_version"):
             read_report(p)
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000 + "]" * 100_000, '{"master_seed": ' + "1" * 5_000 + "}"],
+        ids=["deep", "long-int"],
+    )
+    def test_reader_refuses_json_that_python_cannot_parse(self, tmp_path, text):
+        p = tmp_path / "report.json"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            read_report(p)
+
 
 class TestSectionFlags:
     def test_tones_artifact_and_inactivity_flags(self):
