@@ -32,14 +32,19 @@ _KIND_OFFSETS = {
 STREAM_INDICES = 1_000_000
 
 
+def check_seed(master_seed: int) -> None:
+    """A master seed is one unsigned 64-bit half of a Philox key."""
+    if not 0 <= master_seed < 2**64:
+        raise ParameterError(f"master_seed must be in [0, 2**64), got {master_seed}")
+
+
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     """Return the Generator for (master_seed, stream_id).
 
     The pair fully determines the stream: equal pairs give bitwise-equal
     draws, distinct pairs give statistically independent streams.
     """
-    if not 0 <= master_seed < 2**64:
-        raise ParameterError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    check_seed(master_seed)
     if not 0 <= stream_id < 2**64:
         raise ParameterError(f"stream_id must be in [0, 2**64), got {stream_id}")
     # an explicit uint64 key: a plain list would go through int64 and

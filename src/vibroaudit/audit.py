@@ -103,6 +103,12 @@ class BandScanResult:
         return self.bands[int(np.nanargmax(self.per_band_accuracy))]
 
 
+def check_band_width(width: float) -> None:
+    """A uniform band plan's bands are wider than its 250 Hz floor."""
+    if not width > 250.0:
+        raise ParameterError(f"band width must exceed 250 Hz, got {width}")
+
+
 def uniform_band_plan(nyquist: float, width: float = DEFAULT_BAND_WIDTH_HZ) -> list[tuple[float, float]]:
     """The band-scan plan of a run without explicit bands: contiguous
     bands of ``width`` Hz from 250 Hz up to Nyquist.
@@ -111,8 +117,7 @@ def uniform_band_plan(nyquist: float, width: float = DEFAULT_BAND_WIDTH_HZ) -> l
     multiple below Nyquist is left out, and a width beyond Nyquist gives
     the one band (250 Hz, Nyquist).
     """
-    if not width > 250.0:
-        raise ParameterError(f"band width must exceed 250 Hz, got {width}")
+    check_band_width(width)
     if width >= nyquist:
         return [(250.0, nyquist)]
     edges = [250.0]
@@ -576,6 +581,12 @@ class ConditioningResult:
     flagged_for_review: bool
 
 
+def check_control_quantile(quantile: float) -> None:
+    """Conditioning flags below a lower-tail quantile of its control draws."""
+    if not (0 < quantile < 0.5):
+        raise ParameterError(f"quantile must be in (0, 0.5), got {quantile}")
+
+
 def condition_on_covariate(
     table: FeatureTable,
     covariate: str,
@@ -605,8 +616,7 @@ def condition_on_covariate(
             f"control_fraction must be in (0, 1), got {control_fraction}"
         )
     _check_repeats("control_repeats", control_repeats, 1)
-    if not (0 < quantile < 0.5):
-        raise ParameterError(f"quantile must be in (0, 0.5), got {quantile}")
+    check_control_quantile(quantile)
 
     _check_target(table, target)
     col, groups, targets = (table.label(c) for c in (covariate, group_key, target))
@@ -813,6 +823,13 @@ def _axis_angle_degrees(v: np.ndarray) -> float:
     return _wrap90(float(np.degrees(np.arctan2(v[1], v[0]))))
 
 
+def check_rotation_grid(grid: Sequence[float]) -> None:
+    """Principal axes carry no sign, so inter-axis angles lie in [0, 90] degrees."""
+    for t in grid:
+        if not (0.0 <= t <= 90.0):
+            raise ParameterError(f"rotation grid angle {t} outside [0, 90] degrees")
+
+
 def rotation_analysis(
     table: FeatureTable,
     subgroup_key: str,
@@ -851,9 +868,7 @@ def rotation_analysis(
     if rotate_value not in values:
         raise ParameterError(f"rotate_value {rotate_value!r} not in {values}")
     grid = [float(t) for t in rotation_grid_deg]
-    for t in grid:
-        if not (0.0 <= t <= 90.0):
-            raise ParameterError(f"rotation grid angle {t} outside [0, 90] degrees")
+    check_rotation_grid(grid)
 
     mu = table.matrix.mean(axis=0)
     sd = table.matrix.std(axis=0)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._parallel import pmap
+from ._rng import check_seed
 from .audit import (
     CONTROL_QUANTILE,
     CONTROL_REPEATS,
@@ -33,6 +34,9 @@ from .audit import (
     TONE_PERSISTENCE_MIN,
     TONE_PROMINENCE_MIN_DB,
     band_scan,
+    check_band_width,
+    check_control_quantile,
+    check_rotation_grid,
     condition_on_covariate,
     counterfactual_relabel,
     covariate_predictability,
@@ -61,11 +65,6 @@ from .report import (
     conditioning_section,
     counterfactual_section,
     covariate_section,
-    emit_band_scan_csv,
-    emit_draws_csv,
-    emit_mixing_csv,
-    emit_rotation_csv,
-    emit_tones_csv,
     file_digest,
     mixing_section,
     prevalence_section,
@@ -209,10 +208,27 @@ def _parse_grid(text: str | None) -> list[float]:
 
 def _repeats(args, analysis: str, suite: bool) -> int:
     if args.repeats is not None:
-        if args.repeats < 1:
-            raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
         return args.repeats
     return (SUITE_REPEATS if suite else DEFAULT_REPEATS)[analysis]
+
+
+def _check_option_values(args, grid: list[float]) -> None:
+    """Refuse an out-of-range option value before any section runs.  Each
+    range but that of --repeats is the rule of the library function that
+    takes the value."""
+    if args.repeats is not None and args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+    checks = (
+        ("--seed", check_seed, args.seed),
+        ("--quantile", check_control_quantile, args.quantile),
+        ("--band-width-hz", check_band_width, args.band_width_hz),
+        ("--grid-degrees", check_rotation_grid, grid),
+    )
+    for option, check, value in checks:
+        try:
+            check(value)
+        except ParameterError as exc:
+            raise UsageError(f"{option}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +338,8 @@ def _load_relabel(path: str) -> dict:
 
 
 def cmd_audit(args) -> int:
+    grid = _parse_grid(args.grid_degrees)
+    _check_option_values(args, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = args.analysis == "suite"
@@ -344,8 +362,6 @@ def cmd_audit(args) -> int:
         table = extract_table(manifest, cfg)
     if manifest is None and table is None:
         raise ParameterError("audit needs --manifest or --features")
-    if args.analysis in ("band-scan", "tones") and manifest is None:
-        raise ParameterError(f"analysis {args.analysis!r} needs --manifest")
 
     relabel = _load_relabel(args.relabel) if args.relabel else None
     feature_pair = args.feature_pair.split(",") if args.feature_pair else None
@@ -377,14 +393,17 @@ def cmd_audit(args) -> int:
     report = AuditReport(master_seed=args.seed, config=config, provenance=provenance)
     t_total = time.perf_counter()
 
-    def run(name: str, analysis: str, fn, soft: bool = False) -> None:
+    def run(name: str, analysis: str, step, soft: bool = False) -> None:
+        """One section: ``step`` runs the analysis and its section builder;
+        the section's series are written next to the report."""
         if not (suite or args.analysis == analysis):
             return
         try:
             t0 = time.perf_counter()
-            section = fn()
-            section["timing_s"] = time.perf_counter() - t0
-            report.add_section(name, section)
+            section, series = step()
+            for file_name, (header, rows) in series.items():
+                write_series_csv(out_dir / file_name, header, rows)
+            report.add_section(name, {**section, "timing_s": time.perf_counter() - t0})
         except UsageError:
             # an incoherent command line aborts even the suite
             raise
@@ -393,43 +412,33 @@ def cmd_audit(args) -> int:
                 raise
             report.skip_section(name, str(exc))
 
-    # --- band scan
-    def do_band_scan() -> dict:
+    def do_band_scan():
         if fs is None:
             raise ParameterError("band scan needs --manifest")
-        bands = _resolve_bands(args, fs / 2.0)
-        res = band_scan(manifest, bands, cfg)
-        emit_band_scan_csv(out_dir / "band_scan.csv", res)
-        return band_scan_section(res, args.seed)
+        return band_scan_section(band_scan(manifest, _resolve_bands(args, fs / 2.0), cfg))
 
     run("band_scan", "band-scan", do_band_scan)
 
-    # --- tones + prevalence
     detections = None
 
-    def do_tones() -> dict:
+    def do_tones():
         nonlocal detections
         if manifest is None:
             raise ParameterError("tone detection needs --manifest")
         detections = _detect_all_sessions(manifest, out_dir if args.spectrogram_csv else None)
-        emit_tones_csv(out_dir / "tones.csv", detections)
-        return tones_section(
-            detections, args.seed, TONE_PERSISTENCE_MIN, TONE_PROMINENCE_MIN_DB
-        )
+        return tones_section(detections, TONE_PERSISTENCE_MIN, TONE_PROMINENCE_MIN_DB)
 
     run("tones", "tones", do_tones)
 
-    def do_prevalence() -> dict:
+    def do_prevalence():
         if detections is None:
             raise ParameterError("prevalence needs the tone detections")
         labels = {rec.session_id: rec.health_label for rec in manifest.sessions}
-        res = tone_prevalence_by_label(detections, labels)
-        return prevalence_section(res, args.seed)
+        return prevalence_section(tone_prevalence_by_label(detections, labels))
 
     run("prevalence", "tones", do_prevalence, soft=True)
 
-    # --- covariate predictability
-    def do_covariate() -> dict:
+    def do_covariate():
         wanted = ("device", "side") if suite else (args.covariate,)
         results, not_evaluated = {}, {}
         for cov in wanted:
@@ -441,85 +450,51 @@ def cmd_audit(args) -> int:
             raise ParameterError(
                 "; ".join(f"{c}: {r}" for c, r in not_evaluated.items())
             )
-        section = covariate_section(results, args.seed)
-        section["not_evaluated"] = not_evaluated
-        return section
+        return covariate_section(results, not_evaluated)
 
     run("covariate", "covariate", do_covariate)
 
-    # --- conditioning
-    def do_condition() -> dict:
-        res = condition_on_covariate(
-            table,
-            args.covariate,
-            control_repeats=_repeats(args, "condition", suite),
-            quantile=args.quantile,
-            seed=args.seed,
-        )
-        emit_draws_csv(out_dir / "conditioning_control.csv", "sample_index", res.control_samples)
-        return conditioning_section(res, args.seed)
+    def do_condition():
+        return conditioning_section(condition_on_covariate(
+            table, args.covariate, control_repeats=_repeats(args, "condition", suite),
+            quantile=args.quantile, seed=args.seed,
+        ))
 
     run("conditioning", "condition", do_condition)
 
-    # --- incremental mixing
-    def do_mixing() -> dict:
+    def do_mixing():
         values = sorted(set(table.label(args.covariate).tolist()))
         if len(values) != 2:
             raise ParameterError(
                 f"mixing needs exactly 2 values of {args.covariate!r}, got {values}"
             )
-        res = incremental_mixing_curve(
-            table,
-            args.covariate,
-            values[0],
-            values[1],
-            repeats=_repeats(args, "mixing", suite),
-            seed=args.seed,
-        )
-        emit_mixing_csv(out_dir / "mixing_curve.csv", res)
-        return mixing_section(res, args.seed)
+        return mixing_section(incremental_mixing_curve(
+            table, args.covariate, values[0], values[1],
+            repeats=_repeats(args, "mixing", suite), seed=args.seed,
+        ))
 
     run("mixing_curve", "mixing", do_mixing)
 
-    # --- rotation
-    def do_rotate() -> dict:
+    def do_rotate():
         if feature_pair is None or len(feature_pair) != 2:
             raise ParameterError(
                 "rotation needs --feature-pair with exactly 2 names"
             )
         sub = table.restrict_features(feature_pair)
-        res = rotation_analysis(sub, "side", _parse_grid(args.grid_degrees))
-        emit_rotation_csv(out_dir / "rotation_curve.csv", res)
-        scatter_rows = (
-            [sub.matrix[i, 0], sub.matrix[i, 1],
-             sub.label("side")[i], sub.label("health")[i]]
-            for i in range(sub.n_rows)
-        )
-        write_series_csv(
-            out_dir / "rotation_scatter.csv",
-            feature_pair + ["side", "health"],
-            scatter_rows,
-        )
-        return rotation_section(res, args.seed)
+        return rotation_section(rotation_analysis(sub, "side", grid), sub)
 
     run("rotation", "rotate", do_rotate)
 
-    # --- counterfactual relabeling
-    def do_counterfactual() -> dict:
+    def do_counterfactual():
         spec = relabel if relabel is not None else _auto_day_relabel(table)
         if spec is None:
             raise ParameterError(
                 "no --relabel file and the table is not single-subject "
                 "multi-session, so there is no regrouping to test"
             )
-        res = counterfactual_relabel(
-            table,
-            spec,
-            n_permutations=_repeats(args, "counterfactual", suite),
-            seed=args.seed,
-        )
-        emit_draws_csv(out_dir / "counterfactual_null.csv", "permutation_index", res.null_accuracies)
-        return counterfactual_section(res, args.seed, spec)
+        return counterfactual_section(counterfactual_relabel(
+            table, spec, n_permutations=_repeats(args, "counterfactual", suite), seed=args.seed,
+        ), spec)
 
     run("counterfactual", "counterfactual", do_counterfactual)
 

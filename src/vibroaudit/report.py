@@ -2,9 +2,10 @@
 
 A report is a single JSON document carrying every analysis that ran,
 the resolved configuration and its content digest, input provenance,
-and the list of raised bias flags.  Accuracy-distribution data
-additionally lands in small CSV files (one value or one summary row per
-line) so external plotting needs no JSON parsing.
+and the list of raised bias flags.  Each section builder also returns the
+section's plot-ready CSV series (one value or one summary row per line),
+built from the values the section holds, so external plotting needs no
+JSON parsing.
 
 Everything written here is byte-deterministic for fixed inputs: keys
 are sorted, floats use shortest round-trip repr, and absolute paths
@@ -37,7 +38,7 @@ from .audit import (
     ToneDetection,
     summarize_draws,
 )
-from .dataset import json_text, read_json, write_json
+from .dataset import FeatureTable, json_text, read_json, write_json
 from .errors import FormatError, ParameterError
 from .learn import CvResult
 
@@ -49,6 +50,9 @@ PREVALENCE_ALPHA = 0.01
 COVARIATE_FLAG_ACCURACY = 0.80
 COUNTERFACTUAL_FLAG_DELTA = 0.15
 COUNTERFACTUAL_FLAG_ACCURACY = 0.70
+
+# a section's CSV series: file name -> (header, rows)
+Series = dict[str, tuple[list[str], list]]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,8 @@ class AuditReport:
     tool_version: str = __version__
 
     def add_section(self, name: str, section: dict) -> None:
-        self.sections[name] = section
+        """Every section records the run's seed and contributes its flags."""
+        self.sections[name] = {**section, "seed": self.master_seed}
         self.flags.extend(section.get("flags", []))
 
     def skip_section(self, name: str, reason: str) -> None:
@@ -231,10 +236,15 @@ def _cv_summary(cv: CvResult) -> dict:
     }
 
 
-def band_scan_section(res: BandScanResult, seed: int) -> dict:
+def _draws_series(index_name: str, draws: np.ndarray) -> tuple[list[str], list]:
+    """One Monte-Carlo draw per row: its index and its accuracy, empty
+    where undefined."""
+    return [index_name, "accuracy"], list(enumerate(draws))
+
+
+def band_scan_section(res: BandScanResult) -> tuple[dict, Series]:
     all_skipped = len(res.skipped) == len(res.bands)
-    return {
-        "seed": seed,
+    section = {
         "group_key": res.group_key,
         "target": res.target,
         "bands": [list(b) for b in res.bands],
@@ -246,6 +256,12 @@ def band_scan_section(res: BandScanResult, seed: int) -> dict:
         "best_band": None if all_skipped else list(res.best_band()),
         "flags": [],
     }
+    rows = [[lo, hi, acc] for (lo, hi), acc in zip(section["bands"], section["accuracy"])]
+    return section, {"band_scan.csv": (["band_lo_hz", "band_hi_hz", "accuracy"], rows)}
+
+
+# the scalar detection fields, in their tones.csv column order
+_TONE_COLUMNS = ("center_freq_hz", "persistence", "prominence_db", "present_during_inactivity")
 
 
 def _detection_dict(det: ToneDetection) -> dict:
@@ -256,10 +272,9 @@ def _detection_dict(det: ToneDetection) -> dict:
 
 def tones_section(
     detections: Mapping[str, Sequence[ToneDetection]],
-    seed: int,
     persistence_min: float,
     prominence_min_db: float,
-) -> dict:
+) -> tuple[dict, Series]:
     flags = []
     n_hit = sum(1 for dets in detections.values() if len(dets) > 0)
     if n_hit:
@@ -276,22 +291,26 @@ def tones_section(
                     f"tone-inactive: session {sid} holds a "
                     f"{det.center_freq:.0f} Hz component through rest periods"
                 )
-    return {
-        "seed": seed,
+    sessions = {
+        sid: [_detection_dict(d) for d in dets] for sid, dets in sorted(detections.items())
+    }
+    section = {
         "persistence_min": persistence_min,
         "prominence_min_db": prominence_min_db,
-        "sessions": {
-            sid: [_detection_dict(d) for d in dets]
-            for sid, dets in sorted(detections.items())
-        },
+        "sessions": sessions,
         "n_sessions_with_detections": n_hit,
         "flags": flags,
     }
+    rows = [
+        [sid, *(d[c] for c in _TONE_COLUMNS), *d["bin_span"]]
+        for sid, dets in sessions.items() for d in dets
+    ]
+    return section, {"tones.csv": (["session_id", *_TONE_COLUMNS, "bin_lo", "bin_hi"], rows)}
 
 
 def prevalence_section(
-    res: PrevalenceResult, seed: int, alpha: float = PREVALENCE_ALPHA
-) -> dict:
+    res: PrevalenceResult, alpha: float = PREVALENCE_ALPHA
+) -> tuple[dict, Series]:
     flags = []
     if res.p_value < alpha:
         richer = max(res.prevalence, key=lambda c: res.prevalence[c])
@@ -299,14 +318,16 @@ def prevalence_section(
             f"tone-prevalence: detections cooccur with class {richer!r} "
             f"(p={res.p_value:.3g} < {alpha})"
         )
-    return {"seed": seed, **vars(res), "alpha": alpha, "flags": flags}
+    return {**vars(res), "alpha": alpha, "flags": flags}, {}
 
 
 def covariate_section(
     results: Mapping[str, CvResult],
-    seed: int,
+    not_evaluated: Mapping[str, str],
     threshold: float = COVARIATE_FLAG_ACCURACY,
-) -> dict:
+) -> tuple[dict, Series]:
+    """``not_evaluated`` maps each covariate that could not be decoded to
+    the reason."""
     flags = []
     for cov in sorted(results):
         acc = results[cov].mean_repetition_accuracy
@@ -316,14 +337,14 @@ def covariate_section(
                 f"{acc:.3f} (threshold {threshold})"
             )
     return {
-        "seed": seed,
         "threshold": threshold,
         "covariates": {cov: _cv_summary(cv) for cov, cv in sorted(results.items())},
+        "not_evaluated": dict(not_evaluated),
         "flags": flags,
-    }
+    }, {}
 
 
-def conditioning_section(res: ConditioningResult, seed: int) -> dict:
+def conditioning_section(res: ConditioningResult) -> tuple[dict, Series]:
     flags = [
         f"conditioning-stratum: {res.covariate}={name} accuracy "
         f"{res.stratum_accuracy[name]:.3f} below the control "
@@ -331,7 +352,6 @@ def conditioning_section(res: ConditioningResult, seed: int) -> dict:
         for name in res.flagged
     ]
     return {
-        "seed": seed,
         "covariate": res.covariate,
         "full_accuracy": res.full_accuracy,
         "stratum_accuracy": dict(res.stratum_accuracy),
@@ -348,30 +368,49 @@ def conditioning_section(res: ConditioningResult, seed: int) -> dict:
         "flagged_strata": list(res.flagged),
         "flagged_for_review": res.flagged_for_review,
         "flags": flags,
-    }
+    }, {"conditioning_control.csv": _draws_series("sample_index", res.control_samples)}
 
 
-def mixing_section(res: MixingCurveResult, seed: int) -> dict:
-    return {
-        "seed": seed,
+# the draw-summary statistics that mixing_curve.csv holds per curve
+_MIXING_STATS = ("mean", "std", "q025", "q975", "n_valid")
+
+
+def mixing_section(res: MixingCurveResult) -> tuple[dict, Series]:
+    section = {
         **vars(res),
         "stratified": [distribution_summary(s) for s in res.stratified],
         "reference": [distribution_summary(s) for s in res.reference],
         "flags": [],
     }
+    header = ["n_added", "total_sessions"] + [
+        f"{kind}_{c}" for kind in ("stratified", "reference") for c in _MIXING_STATS
+    ]
+    rows = [
+        [k, res.n_base_sessions + k, *(s[c] for c in _MIXING_STATS), *(r[c] for c in _MIXING_STATS)]
+        for k, s, r in zip(res.counts, section["stratified"], section["reference"])
+    ]
+    return section, {"mixing_curve.csv": (header, rows)}
 
 
-def rotation_section(res: RotationResult, seed: int) -> dict:
-    return {"seed": seed, **vars(res), "flags": []}
+def rotation_section(res: RotationResult, pair_table: FeatureTable) -> tuple[dict, Series]:
+    """``pair_table`` is the two-feature table the rotation ran on; its
+    rows go to ``rotation_scatter.csv``."""
+    side, health = pair_table.label(res.subgroup_key), pair_table.label("health")
+    scatter = [[x, y, s, h] for (x, y), s, h in zip(pair_table.matrix, side, health)]
+    return {**vars(res), "flags": []}, {
+        "rotation_curve.csv": (
+            ["theta_degrees", "accuracy"], [[t, a] for t, a in res.accuracy_vs_rotation]
+        ),
+        "rotation_scatter.csv": ([*pair_table.feature_names, res.subgroup_key, "health"], scatter),
+    }
 
 
 def counterfactual_section(
     res: RelabelResult,
-    seed: int,
     relabel: Mapping[str, tuple[str, str]],
     min_delta: float = COUNTERFACTUAL_FLAG_DELTA,
     min_accuracy: float = COUNTERFACTUAL_FLAG_ACCURACY,
-) -> dict:
+) -> tuple[dict, Series]:
     flags = []
     # an undefined null (no defined draw) leaves the delta NaN, which never flags
     if res.accuracy >= min_accuracy and res.inflation_delta >= min_delta:
@@ -380,7 +419,6 @@ def counterfactual_section(
             f"{res.inflation_delta:.3f} above its permutation null"
         )
     return {
-        "seed": seed,
         "relabel": {g: list(v) for g, v in sorted(relabel.items())},
         "accuracy": res.accuracy,
         "cv": _cv_summary(res.cv),
@@ -394,68 +432,4 @@ def counterfactual_section(
         "min_delta": min_delta,
         "min_accuracy": min_accuracy,
         "flags": flags,
-    }
-
-
-# ---------------------------------------------------------------------------
-# CSV emissions per section
-
-
-def emit_band_scan_csv(path, res: BandScanResult) -> None:
-    rows = [
-        [lo, hi, res.per_band_accuracy[i]]
-        for i, (lo, hi) in enumerate(res.bands)
-    ]
-    write_series_csv(path, ["band_lo_hz", "band_hi_hz", "accuracy"], rows)
-
-
-def emit_tones_csv(path, detections: Mapping[str, Sequence[ToneDetection]]) -> None:
-    rows = []
-    for sid in sorted(detections):
-        for det in detections[sid]:
-            rows.append(
-                [
-                    sid,
-                    det.center_freq,
-                    det.persistence,
-                    det.prominence_db,
-                    det.present_during_inactivity,
-                    det.bin_span[0],
-                    det.bin_span[1],
-                ]
-            )
-    write_series_csv(
-        path,
-        [
-            "session_id", "center_freq_hz", "persistence", "prominence_db",
-            "present_during_inactivity", "bin_lo", "bin_hi",
-        ],
-        rows,
-    )
-
-
-def emit_mixing_csv(path, res: MixingCurveResult) -> None:
-    header = ["n_added", "total_sessions"]
-    for kind in ("stratified", "reference"):
-        header += [f"{kind}_{c}" for c in ("mean", "std", "q025", "q975", "n_valid")]
-    rows = []
-    for j, k in enumerate(res.counts):
-        s = distribution_summary(res.stratified[j])
-        r = distribution_summary(res.reference[j])
-        rows.append(
-            [k, res.n_base_sessions + k]
-            + [s[c] for c in ("mean", "std", "q025", "q975", "n_valid")]
-            + [r[c] for c in ("mean", "std", "q025", "q975", "n_valid")]
-        )
-    write_series_csv(path, header, rows)
-
-
-def emit_rotation_csv(path, res: RotationResult) -> None:
-    rows = [[t, a] for t, a in res.accuracy_vs_rotation]
-    write_series_csv(path, ["theta_degrees", "accuracy"], rows)
-
-
-def emit_draws_csv(path, index_name: str, draws: np.ndarray) -> None:
-    """One Monte-Carlo draw per row: its index and its accuracy, empty
-    where undefined."""
-    write_series_csv(path, [index_name, "accuracy"], enumerate(draws))
+    }, {"counterfactual_null.csv": _draws_series("permutation_index", res.null_accuracies)}

@@ -305,6 +305,54 @@ class TestAuditSuite:
                      "conditioning_control.csv", "mixing_curve.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_audit_directory_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert run("synth", "--scenario", "tone-bias", "--subjects", "6", "--repetitions", "2",
+                   "--duration", "0.4", "--seed", "1", "--out", str(data)) == EXIT_OK
+        relabel = tmp_path / "relabel.json"
+        relabel.write_text(json.dumps({
+            rec.session_id: [f"g{i}", "Healthy" if i < 3 else "Unhealthy"]
+            for i, rec in enumerate(load_manifest(data / "manifest.json").sessions)
+        }))
+        files = {}
+        for threads in ("1", "3"):
+            monkeypatch.setenv("VIBROAUDIT_THREADS", threads)
+            out = tmp_path / f"threads-{threads}"
+            rc = run("audit", "suite", "--manifest", str(data / "manifest.json"),
+                     "--relabel", str(relabel), "--seed", "1", "--repeats", "5",
+                     "--spectrogram-csv", "--feature-pair", "mfcc01_mean,mfcc02_mean",
+                     "--out", str(out))
+            assert rc == EXIT_FLAGS
+            files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(read_report(out / "report.json")["sections"]) == set(SUITE_SECTIONS)
+        assert len([n for n in files["1"] if n.startswith("spectrogram_")]) == 6
+        reports = {t: json.loads(f.pop("report.json")) for t, f in files.items()}
+        assert canonical_json(strip_timing(reports["1"])) == canonical_json(strip_timing(reports["3"]))
+        assert files["1"].keys() == files["3"].keys()
+        for name, data in files["1"].items():
+            assert data == files["3"][name], name
+
+    def test_suite_without_a_manifest_skips_the_recording_sections(self, tmp_path, capsys):
+        csv_path = tmp_path / "device.csv"
+        device_shortcut_table().to_csv(csv_path)
+        out = tmp_path / "out"
+        rc = run("audit", "suite", "--features", str(csv_path), "--repeats", "5",
+                 "--out", str(out))
+        assert rc == EXIT_FLAGS
+        doc = read_report(out / "report.json")
+        assert doc["skipped_sections"] == {
+            "band_scan": "band scan needs --manifest",
+            "tones": "tone detection needs --manifest",
+            "prevalence": "prevalence needs the tone detections",
+            "rotation": "rotation needs --feature-pair with exactly 2 names",
+            "counterfactual": "no --relabel file and the table is not single-subject "
+                              "multi-session, so there is no regrouping to test",
+        }
+        assert set(doc["sections"]) == {"covariate", "conditioning", "mixing_curve"}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "conditioning_control.csv", "mixing_curve.csv", "report.json"]
+        assert "section band_scan: skipped (band scan needs --manifest)" in capsys.readouterr().out
+
     def test_config_digest_reflects_arguments(self, tone_dataset, tmp_path):
         docs = []
         for seed in ("1", "2"):
@@ -380,6 +428,18 @@ class TestAuditSingleAnalyses:
         )
         assert rc == EXIT_ERROR
         assert "band width must exceed 250 Hz, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("analysis, step", [("band-scan", "band scan"),
+                                                ("tones", "tone detection")])
+    def test_recording_analysis_without_a_manifest_exits_one(self, tmp_path, capsys,
+                                                             analysis, step):
+        csv_path = tmp_path / "device.csv"
+        device_shortcut_table().to_csv(csv_path)
+        out = tmp_path / "out"
+        rc = run("audit", analysis, "--features", str(csv_path), "--out", str(out))
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {step} needs --manifest\n"
+        assert not any(out.iterdir())
 
     def test_counterfactual_auto_day_regrouping(self, tmp_path):
         csv_path = tmp_path / "day.csv"
@@ -666,7 +726,31 @@ class TestErrorPaths:
         rc = run(*argv, "--seed", seed, "--out", str(tmp_path / "out"))
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "master_seed" in err
+        prefix = "error: " if command == "synth" else "usage error: --seed: "
+        assert err.startswith(prefix) and "master_seed" in err
+
+    @pytest.mark.parametrize("option, value, message, analysis", [
+        ("--seed", str(2**64), f"master_seed must be in [0, 2**64), got {2**64}", "condition"),
+        ("--seed", "-3", "master_seed must be in [0, 2**64), got -3", "mixing"),
+        ("--seed", "-1", "master_seed must be in [0, 2**64), got -1", "counterfactual"),
+        ("--quantile", "0.7", "quantile must be in (0, 0.5), got 0.7", "condition"),
+        ("--band-width-hz", "100", "band width must exceed 250 Hz, got 100.0", "band-scan"),
+        ("--grid-degrees", "0,95", "rotation grid angle 95.0 outside [0, 90] degrees", "rotate"),
+    ], ids=["seed-2**64", "seed-3", "seed-1", "quantile", "band-width", "grid"])
+    @pytest.mark.parametrize("suite", [True, False], ids=["suite", "single"])
+    def test_out_of_range_option_value_is_a_usage_error_before_any_section(
+            self, tone_dataset, tmp_path, capsys, option, value, message, analysis, suite):
+        csv_path = tmp_path / "device.csv"
+        device_shortcut_table().to_csv(csv_path)
+        out = tmp_path / "out"
+        rc = run("audit", "suite" if suite else analysis,
+                 "--manifest", str(tone_dataset / "manifest.json"), "--features", str(csv_path),
+                 "--feature-pair", "f00,f01", "--repeats", "5", option, value, "--out", str(out))
+        assert rc == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {option}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad_id", ["../escape", "a\\b", ".."])
     def test_spectrogram_csv_rejects_ids_that_are_not_file_names(

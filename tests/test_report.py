@@ -29,11 +29,6 @@ from vibroaudit.report import (
     counterfactual_section,
     covariate_section,
     distribution_summary,
-    emit_band_scan_csv,
-    emit_draws_csv,
-    emit_mixing_csv,
-    emit_rotation_csv,
-    emit_tones_csv,
     file_digest,
     jsonable,
     mixing_section,
@@ -215,7 +210,7 @@ class TestSectionFlags:
             "s2": [_detection()],
             "s3": [],
         }
-        sec = tones_section(detections, 0, 0.9, 6.0)
+        sec, _ = tones_section(detections, 0.9, 6.0)
         assert sec["n_sessions_with_detections"] == 2
         assert any(f.startswith("tone-artifact: ") for f in sec["flags"])
         assert any("2 of 3 sessions" in f for f in sec["flags"])
@@ -223,7 +218,7 @@ class TestSectionFlags:
         assert len(inactive) == 1 and "s1" in inactive[0]
 
     def test_tones_clean_has_no_flags(self):
-        sec = tones_section({"s1": [], "s2": []}, 0, 0.9, 6.0)
+        sec, _ = tones_section({"s1": [], "s2": []}, 0.9, 6.0)
         assert sec["flags"] == []
         assert sec["n_sessions_with_detections"] == 0
 
@@ -234,7 +229,8 @@ class TestSectionFlags:
             prevalence={"Healthy": 0.0, "Unhealthy": 1.0},
             p_value=1e-5,
         )
-        sec = prevalence_section(res, 0)
+        sec, series = prevalence_section(res)
+        assert series == {}
         assert len(sec["flags"]) == 1
         assert "'Unhealthy'" in sec["flags"][0]
 
@@ -244,20 +240,23 @@ class TestSectionFlags:
             prevalence={"Healthy": 1 / 3, "Unhealthy": 1.0},
             p_value=0.05,
         )
-        assert prevalence_section(mild, 0)["flags"] == []
+        assert prevalence_section(mild)[0]["flags"] == []
 
     def test_covariate_flag_threshold(self, device_table):
         cv = covariate_predictability(device_table, "device")
-        sec = covariate_section({"device": cv}, 0)
+        sec, series = covariate_section({"device": cv}, {"side": "constant"})
+        assert series == {}
+        assert sec["not_evaluated"] == {"side": "constant"}
         assert len(sec["flags"]) == 1
         assert sec["flags"][0].startswith("covariate-predictable: device")
         assert sec["covariates"]["device"]["target"] == "device"
 
-        relaxed = covariate_section({"device": cv}, 0, threshold=2.0)
+        relaxed, _ = covariate_section({"device": cv}, {}, threshold=2.0)
         assert relaxed["flags"] == []
+        assert relaxed["not_evaluated"] == {}
 
     def test_conditioning_flags_name_strata(self, conditioning_result):
-        sec = conditioning_section(conditioning_result, 0)
+        sec, _ = conditioning_section(conditioning_result)
         assert sec["flagged_strata"] == ["DL"]
         assert len(sec["flags"]) == 1
         assert sec["flags"][0].startswith("conditioning-stratum: device=DL")
@@ -274,7 +273,7 @@ class TestSectionFlags:
             for i, g in enumerate(groups)
         }
         res = counterfactual_relabel(table, relabel, n_permutations=40, seed=0)
-        sec = counterfactual_section(res, 0, relabel)
+        sec, _ = counterfactual_section(res, relabel)
         assert len(sec["flags"]) == 1
         assert sec["flags"][0].startswith("counterfactual-inflation")
         assert sec["inflation_delta"] == pytest.approx(
@@ -282,9 +281,9 @@ class TestSectionFlags:
         )
 
         no_null = counterfactual_relabel(table, relabel, n_permutations=0, seed=0)
-        assert counterfactual_section(no_null, 0, relabel)["flags"] == []
+        assert counterfactual_section(no_null, relabel)[0]["flags"] == []
 
-        strict = counterfactual_section(res, 0, relabel, min_accuracy=1.01)
+        strict, _ = counterfactual_section(res, relabel, min_accuracy=1.01)
         assert strict["flags"] == []
 
     def test_undefined_null_draws_do_not_suppress_the_counterfactual_flag(self, monkeypatch):
@@ -296,7 +295,7 @@ class TestSectionFlags:
         null = np.array([0.5, np.nan, 0.4, 0.6, np.nan])
         monkeypatch.setattr(audit, "_draw_accuracies", lambda keys, build: null)
         res = counterfactual_relabel(table, relabel, n_permutations=5, seed=0)
-        sec = counterfactual_section(res, 0, relabel)
+        sec, _ = counterfactual_section(res, relabel)
         assert sec["null"]["mean"] == pytest.approx(0.5)
         assert sec["inflation_delta"] == res.accuracy - res.null_mean
         assert len(sec["flags"]) == 1
@@ -306,18 +305,21 @@ class TestSectionFlags:
         mix = incremental_mixing_curve(
             device_table, "device", "DL", "DR", counts=[1], repeats=8, seed=0
         )
-        assert mixing_section(mix, 0)["flags"] == []
-        rot = rotation_analysis(
-            rotated_pair_table(n_subjects=6, reps=4), "side", [0.0, 10.0]
-        )
-        assert rotation_section(rot, 0)["flags"] == []
+        assert mixing_section(mix)[0]["flags"] == []
+        pair = rotated_pair_table(n_subjects=6, reps=4)
+        rot = rotation_analysis(pair, "side", [0.0, 10.0])
+        assert rotation_section(rot, pair)[0]["flags"] == []
 
     def test_every_section_carries_its_seed(self, conditioning_result):
-        secs = [
-            tones_section({"s": []}, 11, 0.9, 6.0),
-            conditioning_section(conditioning_result, 11),
-        ]
-        assert all(s["seed"] == 11 for s in secs)
+        rep = AuditReport(master_seed=11, config={}, provenance={})
+        for name, (section, _) in {
+            "tones": tones_section({"s": []}, 0.9, 6.0),
+            "conditioning": conditioning_section(conditioning_result),
+        }.items():
+            assert "seed" not in section
+            rep.add_section(name, section)
+        assert all(s["seed"] == 11 for s in rep.sections.values())
+        assert set(rep.sections) == {"tones", "conditioning"}
 
 
 class TestBandScanSection:
@@ -334,7 +336,7 @@ class TestBandScanSection:
         )
 
     def test_section_reports_skips_and_best_band(self):
-        sec = band_scan_section(self._result(), 0)
+        sec, _ = band_scan_section(self._result())
         assert sec["bands"] == [[250.0, 10_000.0], [10_000.0, 10_100.0]]
         assert sec["skipped"] == {"1": "band too narrow"}
         assert sec["best_band"] == [250.0, 10_000.0]
@@ -342,9 +344,12 @@ class TestBandScanSection:
         assert sec["flags"] == []
 
     def test_csv_leaves_skipped_cells_empty(self, tmp_path):
-        emit_band_scan_csv(tmp_path / "b.csv", self._result())
+        (name, (header, rows)), = band_scan_section(self._result())[1].items()
+        assert name == "band_scan.csv"
+        write_series_csv(tmp_path / "b.csv", header, rows)
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert lines[0] == "band_lo_hz,band_hi_hz,accuracy"
+        assert len(lines) == 3
         assert lines[2].startswith("10000.0,10100.0,")
         assert lines[2].endswith(",")
 
@@ -365,14 +370,19 @@ class TestCsvSeries:
         write_series_csv(tmp_path / "b.csv", ["i", "v"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_tone_and_control_and_null_emitters(self, tmp_path, conditioning_result):
-        emit_tones_csv(tmp_path / "t.csv", {"s1": [_detection()], "s0": []})
-        lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0].startswith("session_id,center_freq_hz")
-        assert len(lines) == 2 and lines[1].startswith("s1,33000.0")
+    def test_tone_and_control_and_null_series(self, tmp_path, conditioning_result):
+        series = tones_section(
+            {"s1": [_detection()], "s0": [], "a0": [_detection(21_000.0, inactive=False)]},
+            0.9, 6.0,
+        )[1]
+        lines = _series_lines(tmp_path, series, "tones.csv")
+        assert lines[0] == ("session_id,center_freq_hz,persistence,prominence_db,"
+                            "present_during_inactivity,bin_lo,bin_hi")
+        # sessions in sorted order; one without detections writes no row
+        assert lines[1:] == ["a0,21000.0,1.0,40.0,false,673,679", "s1,33000.0,1.0,40.0,,673,679"]
 
-        emit_draws_csv(tmp_path / "c.csv", "sample_index", conditioning_result.control_samples)
-        lines = (tmp_path / "c.csv").read_text().splitlines()
+        series = conditioning_section(conditioning_result)[1]
+        lines = _series_lines(tmp_path, series, "conditioning_control.csv")
         assert lines[0] == "sample_index,accuracy"
         assert len(lines) == 1 + conditioning_result.n_control_repeats
 
@@ -383,28 +393,48 @@ class TestCsvSeries:
             for i, g in enumerate(groups)
         }
         res = counterfactual_relabel(table, relabel, n_permutations=12, seed=0)
-        emit_draws_csv(tmp_path / "n.csv", "permutation_index", res.null_accuracies)
-        lines = (tmp_path / "n.csv").read_text().splitlines()
+        res.null_accuracies[3] = np.nan
+        lines = _series_lines(tmp_path, counterfactual_section(res, relabel)[1],
+                              "counterfactual_null.csv")
         assert lines[0] == "permutation_index,accuracy"
         assert len(lines) == 13
+        # an undefined draw leaves its accuracy cell empty
+        assert lines[4] == "3,"
 
-    def test_mixing_and_rotation_emitters(self, tmp_path, device_table):
+    def test_mixing_and_rotation_series(self, tmp_path, device_table):
         mix = incremental_mixing_curve(
             device_table, "device", "DL", "DR", counts=[1, 2], repeats=8, seed=0
         )
-        emit_mixing_csv(tmp_path / "m.csv", mix)
-        lines = (tmp_path / "m.csv").read_text().splitlines()
-        assert lines[0].split(",")[:2] == ["n_added", "total_sessions"]
+        section, series = mixing_section(mix)
+        lines = _series_lines(tmp_path, series, "mixing_curve.csv")
+        assert lines[0].split(",") == ["n_added", "total_sessions"] + [
+            f"{kind}_{c}" for kind in ("stratified", "reference")
+            for c in ("mean", "std", "q025", "q975", "n_valid")
+        ]
         assert len(lines) == 3
-        assert lines[1].split(",")[0] == "1"
+        assert lines[1].split(",")[:2] == ["1", str(mix.n_base_sessions + 1)]
+        # the rows restate the section's summaries
+        assert lines[2].split(",")[2] == repr(section["stratified"][1]["mean"])
 
-        rot = rotation_analysis(
-            rotated_pair_table(n_subjects=6, reps=4), "side", [0.0, 45.0]
-        )
-        emit_rotation_csv(tmp_path / "r.csv", rot)
-        lines = (tmp_path / "r.csv").read_text().splitlines()
+        pair = rotated_pair_table(n_subjects=6, reps=4)
+        rot = rotation_analysis(pair, "side", [0.0, 45.0])
+        series = rotation_section(rot, pair)[1]
+        lines = _series_lines(tmp_path, series, "rotation_curve.csv")
         assert lines[0] == "theta_degrees,accuracy"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0.0", "45.0"]
+        lines = _series_lines(tmp_path, series, "rotation_scatter.csv")
+        assert lines[0] == ",".join(pair.feature_names) + ",side,health"
+        assert len(lines) == 1 + pair.n_rows
+        x, y, side, health = lines[1].split(",")
+        assert (float(x), float(y)) == tuple(pair.matrix[0])
+        assert (side, health) == (pair.label("side")[0], pair.label("health")[0])
+
+
+def _series_lines(tmp_path, series, name):
+    """Write one series of a builder's ``series`` and read its lines back."""
+    header, rows = series[name]
+    write_series_csv(tmp_path / name, header, rows)
+    return (tmp_path / name).read_text().splitlines()
 
 
 class TestDistributionSummary:
