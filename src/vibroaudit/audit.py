@@ -65,10 +65,15 @@ from .errors import DegeneracyError, ParameterError
 from .learn import CvResult, loso_accuracies, loso_cv, pca2
 
 AUDIT_COVARIATES = ("device", "side", "subject")
+# the protocol of every analysis: leave one subject out, predict the health label
+GROUP_KEY = "subject"
+TARGET = "health"
 DEFAULT_BAND_WIDTH_HZ = 10_000.0
-# defaults of the tone detector's gates
+# the tone detector's gates, and the spectral neighbourhood its prominence
+# is measured against
 TONE_PERSISTENCE_MIN = 0.9
 TONE_PROMINENCE_MIN_DB = 6.0
+TONE_MEDIAN_WINDOW_HZ = 2000.0
 # default Monte-Carlo sizes of conditioning, mixing and counterfactual
 # relabeling, and the control quantile that conditioning flags below
 CONTROL_REPEATS = 10_000
@@ -83,7 +88,7 @@ RELABEL_PERMUTATIONS = 200
 
 @dataclass
 class BandScanResult:
-    """Per-band leave-one-group-out accuracy.
+    """Per-band leave-one-subject-out accuracy.
 
     ``per_band_accuracy`` is aligned with ``bands`` and holds NaN for
     skipped bands; ``skipped`` maps band index to the reason.  ``cv``
@@ -94,8 +99,6 @@ class BandScanResult:
     per_band_accuracy: np.ndarray
     cv: dict[int, CvResult]
     skipped: dict[int, str]
-    group_key: str
-    target: str
 
     def best_band(self) -> tuple[float, float]:
         if np.all(np.isnan(self.per_band_accuracy)):
@@ -140,8 +143,6 @@ def band_scan(
     manifest: Manifest,
     bands: Sequence[tuple[float, float]],
     cfg: FeatureConfig,
-    group_key: str = "subject",
-    target: str = "health",
 ) -> BandScanResult:
     """Re-extract features inside each band and rerun the classifier.
 
@@ -168,7 +169,7 @@ def band_scan(
     problems = [feature_map_problem(c, fs) for c in band_cfgs]
     scored = [i for i, problem in enumerate(problems) if not problem]
     tables = extract_tables(manifest, [band_cfgs[i] for i in scored])
-    cvs = {i: loso_cv(t, group_key=group_key, target=target) for i, t in zip(scored, tables)}
+    cvs = {i: loso_cv(t, group_key=GROUP_KEY, target=TARGET) for i, t in zip(scored, tables)}
     accs = np.full(len(bands), np.nan)
     for i, cv in cvs.items():
         accs[i] = cv.mean_repetition_accuracy
@@ -177,8 +178,6 @@ def band_scan(
         per_band_accuracy=accs,
         cv=cvs,
         skipped={i: problem for i, problem in enumerate(problems) if problem},
-        group_key=group_key,
-        target=target,
     )
 
 
@@ -193,14 +192,12 @@ class ToneDetection:
     ``persistence`` is the fraction of frames in which any member bin
     rises above the prominence threshold; ``prominence_db`` is the median
     prominence over those frames, so it always exceeds the detection
-    threshold.  ``present_during_inactivity`` is None when no inactivity
-    mask was supplied.
+    threshold.
     """
 
     center_freq: float
     persistence: float
     prominence_db: float
-    present_during_inactivity: bool | None
     bin_span: tuple[int, int]
 
 
@@ -265,60 +262,35 @@ def _above_window_median(padded: np.ndarray, power: np.ndarray, threshold: float
     return above
 
 
-def detect_persistent_tones(
-    spec: Spectrogram,
-    persistence_min: float = TONE_PERSISTENCE_MIN,
-    prominence_min_db: float = TONE_PROMINENCE_MIN_DB,
-    inactivity_mask: np.ndarray | None = None,
-    median_window_hz: float = 2000.0,
-) -> list[ToneDetection]:
+def detect_persistent_tones(spec: Spectrogram) -> list[ToneDetection]:
     """Find frequency bins that outshine their spectral neighborhood in
     nearly every frame.
 
-    Prominence is the ratio of bin power to the running median across
-    neighboring bins, so the detector is invariant to scaling the whole
-    signal.  Adjacent flagged bins merge into a single detection at their
-    power-weighted center frequency.
+    Prominence is the ratio of bin power to the running median over
+    ``TONE_MEDIAN_WINDOW_HZ`` of neighboring bins, so the detector is
+    invariant to scaling the whole signal.  A bin is flagged when its
+    prominence exceeds ``TONE_PROMINENCE_MIN_DB`` in at least
+    ``TONE_PERSISTENCE_MIN`` of the frames.  Adjacent flagged bins merge
+    into a single detection at their power-weighted center frequency.
     """
     if spec.n_frames < 20:
         raise ParameterError(
             f"persistence needs >= 20 frames, got {spec.n_frames}"
         )
-    if not (0 < persistence_min <= 1):
-        raise ParameterError(f"persistence_min must be in (0, 1], got {persistence_min}")
-    try:
-        threshold = 10.0 ** (float(prominence_min_db) / 10.0)
-    except OverflowError:
-        threshold = np.inf
-    if not (prominence_min_db > 0 and threshold < np.inf):
-        raise ParameterError(
-            f"prominence_min_db must be > 0 with 10 ** (dB / 10) finite, got {prominence_min_db}"
-        )
-    if not 0 < median_window_hz < np.inf:
-        raise ParameterError(f"median_window_hz must be finite and > 0, got {median_window_hz}")
-    if inactivity_mask is not None:
-        inactivity_mask = np.asarray(inactivity_mask, dtype=bool)
-        if inactivity_mask.shape != (spec.n_frames,):
-            raise ParameterError(
-                f"inactivity mask must have one flag per frame ({spec.n_frames})"
-            )
-        if not inactivity_mask.any():
-            raise ParameterError("inactivity mask selects no frames")
-
     power = spec.magnitudes**2
     df = float(spec.bin_freqs[1] - spec.bin_freqs[0])
-    window_bins = median_window_hz / df
+    window_bins = TONE_MEDIAN_WINDOW_HZ / df
     if not window_bins < 2.0**63:
         raise ParameterError(
-            f"median_window_hz {median_window_hz} spans more than 2**63 bins of {df} Hz"
+            f"median_window_hz {TONE_MEDIAN_WINDOW_HZ} spans more than 2**63 bins of {df} Hz"
         )
     w = max(3, int(round(window_bins)) | 1)
     padded = _edge_padded(power, w)
     w = padded.shape[1] - spec.n_bins + 1  # the capped window
-    above = _above_window_median(padded, power, threshold)
+    above = _above_window_median(padded, power, 10.0 ** (TONE_PROMINENCE_MIN_DB / 10.0))
 
     per_bin = above.mean(axis=0)
-    flagged = per_bin >= persistence_min
+    flagged = per_bin >= TONE_PERSISTENCE_MIN
 
     detections: list[ToneDetection] = []
     b = 0
@@ -343,15 +315,11 @@ def detect_persistent_tones(
                 np.where(power[:, members] > 0, np.inf, 1.0),
             ).max(axis=1)
         prominence_db = float(10.0 * np.log10(np.median(ratio[hit_frames])))
-        inactive: bool | None = None
-        if inactivity_mask is not None:
-            inactive = bool(hit_frames[inactivity_mask].mean() >= persistence_min)
         detections.append(
             ToneDetection(
                 center_freq=center,
                 persistence=float(hit_frames.mean()),
                 prominence_db=prominence_db,
-                present_during_inactivity=inactive,
                 bin_span=(b, b1),
             )
         )
@@ -492,17 +460,17 @@ def summarize_draws(samples: np.ndarray, quantile: float = 0.025) -> DrawSummary
     return DrawSummary(len(valid), n_invalid, float(valid.mean()), float(valid.std()), lo, hi)
 
 
-def _check_target(table: FeatureTable, target: str) -> None:
+def _check_target(table: FeatureTable) -> None:
     """Reject a target column of more than 2 classes before anything is
     drawn; a draw's classes are a subset of the table's."""
-    classes = sorted(set(table.label(target).tolist()))
+    classes = sorted(set(table.label(TARGET).tolist()))
     if len(classes) > 2:
-        raise ParameterError(f"target {target!r}: need exactly 2 classes, got {classes}")
+        raise ParameterError(f"target {TARGET!r}: need exactly 2 classes, got {classes}")
 
 
-def _rows_in(table: FeatureTable, column: str, group_key: str, target: str):
+def _rows_in(table: FeatureTable, column: str):
     """``build`` of draws that keep the rows whose ``column`` is in the key."""
-    values, groups, targets = (table.label(c) for c in (column, group_key, target))
+    values, groups, targets = (table.label(c) for c in (column, GROUP_KEY, TARGET))
 
     def build(key):
         rows = np.isin(values, key)
@@ -515,15 +483,11 @@ def _rows_in(table: FeatureTable, column: str, group_key: str, target: str):
 # covariate predictability
 
 
-def covariate_predictability(
-    table: FeatureTable,
-    covariate: str,
-    group_key: str | None = None,
-) -> CvResult:
+def covariate_predictability(table: FeatureTable, covariate: str) -> CvResult:
     """Rerun the identical pipeline with a nuisance covariate as target.
 
-    Groups default to subjects, or to sessions when the covariate is the
-    subject itself.  If every fold is skipped (each group carries its own
+    Groups are subjects, or sessions when the covariate is the subject
+    itself.  If every fold is skipped (each group carries its own
     covariate value, so training sets are single-class) the cross
     validation is impossible and an error is raised.
     """
@@ -536,8 +500,7 @@ def covariate_predictability(
         raise ParameterError(
             f"covariate {covariate!r} is constant ({values.pop()!r}); nothing to predict"
         )
-    if group_key is None:
-        group_key = "subject" if covariate != "subject" else "session_id"
+    group_key = GROUP_KEY if covariate != "subject" else "session_id"
     cv = loso_cv(table, group_key=group_key, target=covariate)
     if not cv.per_group_accuracy:
         raise ParameterError(
@@ -594,8 +557,6 @@ def condition_on_covariate(
     control_fraction: float = 0.5,
     seed: int = 0,
     quantile: float = CONTROL_QUANTILE,
-    group_key: str = "subject",
-    target: str = "health",
 ) -> ConditioningResult:
     """Compare per-stratum accuracy against equally sized random controls.
 
@@ -618,17 +579,17 @@ def condition_on_covariate(
     _check_repeats("control_repeats", control_repeats, 1)
     check_control_quantile(quantile)
 
-    _check_target(table, target)
-    col, groups, targets = (table.label(c) for c in (covariate, group_key, target))
+    _check_target(table)
+    col, groups, targets = (table.label(c) for c in (covariate, GROUP_KEY, TARGET))
     values = sorted(set(col.tolist()))
     if len(values) < 2:
         raise ParameterError(f"covariate {covariate!r} is constant; nothing to stratify")
 
     full_accuracy, *strata = _draw_accuracies(
-        [tuple(values)] + [(v,) for v in values], _rows_in(table, covariate, group_key, target)
+        [tuple(values)] + [(v,) for v in values], _rows_in(table, covariate)
     ).tolist()
     if np.isnan(full_accuracy):
-        raise ParameterError(f"the full table needs >= 2 {group_key} values and 2 {target} classes")
+        raise ParameterError(f"the full table needs >= 2 {GROUP_KEY} values and 2 {TARGET} classes")
     stratum_accuracy = {str(v): a for v, a in zip(values, strata)}
     stratum_notes: dict[str, str] = {}
     for v in values:
@@ -640,7 +601,7 @@ def condition_on_covariate(
         elif len(set(groups[col == v].tolist())) < 2:
             note = "single group in stratum"
         else:
-            note = f"every leave-one-{group_key}-out fold trains on a single class"
+            note = f"every leave-one-{GROUP_KEY}-out fold trains on a single class"
         stratum_notes[str(v)] = note + "; accuracy undefined"
 
     groups_all = sorted(set(groups.tolist()))
@@ -652,7 +613,7 @@ def condition_on_covariate(
         )
 
     keys = [_pick(stream(seed, substream_id("control", i)), groups_all, k) for i in range(control_repeats)]
-    samples = _draw_accuracies(keys, _rows_in(table, group_key, group_key, target))
+    samples = _draw_accuracies(keys, _rows_in(table, GROUP_KEY))
     control = summarize_draws(samples, quantile)
     if not control.n_valid:
         # a subsample of >= 2 groups is undefined when it holds one class,
@@ -662,7 +623,7 @@ def condition_on_covariate(
         reason = "every control subsample was single-class" if single == len(distinct) else (
             f"no control subsample has a defined accuracy: {single} of {len(distinct)} distinct "
             f"subsamples were single-class, and the other {len(distinct) - single} trained "
-            f"every leave-one-{group_key}-out fold on a single class"
+            f"every leave-one-{GROUP_KEY}-out fold on a single class"
         )
         raise ParameterError(f"{reason}; control_fraction too small")
     defined = [a for a in stratum_accuracy.values() if not np.isnan(a)]
@@ -719,8 +680,6 @@ def incremental_mixing_curve(
     counts: Sequence[int] | None = None,
     repeats: int = MIXING_REPEATS,
     seed: int = 0,
-    group_key: str = "subject",
-    target: str = "health",
 ) -> MixingCurveResult:
     """Mix sessions of one stratum into another and watch accuracy.
 
@@ -730,7 +689,7 @@ def incremental_mixing_curve(
     distinct subset, the full pool included, is scored once, which keeps
     the endpoint (k = full stratum, a single possible subset) cheap.
     """
-    _check_target(table, target)
+    _check_target(table)
     col = table.label(covariate)
     sess = table.label("session_id")
     base_sessions = sorted(set(sess[col == base_value].tolist()))
@@ -767,7 +726,7 @@ def incremental_mixing_curve(
 
     accs = _draw_accuracies(
         [draw(n) for n in range(2 * len(counts) * repeats)] + [tuple(pool)],
-        _rows_in(table, "session_id", group_key, target),
+        _rows_in(table, "session_id"),
     )
     draws = accs[:-1].reshape(len(counts), repeats, 2)
     return MixingCurveResult(
@@ -835,8 +794,6 @@ def rotation_analysis(
     subgroup_key: str,
     rotation_grid_deg: Sequence[float],
     rotate_value: str | None = None,
-    group_key: str = "subject",
-    target: str = "health",
 ) -> RotationResult:
     """Set the angle between subgroup principal axes and rerun the model.
 
@@ -853,7 +810,7 @@ def rotation_analysis(
             f"rotation analysis needs exactly 2 features, got "
             f"{len(table.feature_names)}; use restrict_features first"
         )
-    _check_target(table, target)
+    _check_target(table)
     col = table.label(subgroup_key)
     values = sorted(set(col.tolist()))
     if len(values) != 2:
@@ -905,11 +862,11 @@ def rotation_analysis(
             rot = np.array([[np.cos(r), -np.sin(r)], [np.sin(r), np.cos(r)]])
             pts = z.copy()
             pts[rot_mask] = (z[rot_mask] - center) @ rot.T + center
-        return pts, table.label(group_key), table.label(target)
+        return pts, table.label(GROUP_KEY), table.label(TARGET)
 
     accs = _draw_accuracies([phi, 0.0] + grid, rotated).tolist()
     if np.isnan(accs[0]):
-        raise ParameterError(f"rotation needs >= 2 {group_key} values and 2 {target} classes")
+        raise ParameterError(f"rotation needs >= 2 {GROUP_KEY} values and 2 {TARGET} classes")
     return RotationResult(
         subgroup_key=subgroup_key,
         subgroup_values=(str(values[0]), str(values[1])),
@@ -956,22 +913,20 @@ def counterfactual_relabel(
     relabel: Mapping[str, tuple[str, str]],
     n_permutations: int = RELABEL_PERMUTATIONS,
     seed: int = 0,
-    group_key: str = "session_id",
-    target: str = "health",
 ) -> RelabelResult:
-    """Rerun the pipeline as if groups belonged to different subjects.
+    """Rerun the pipeline as if sessions belonged to different subjects.
 
-    ``relabel`` maps every value of ``group_key`` to a counterfactual
-    (subject, class) pair; the cross validation then groups by the
-    counterfactual subject.  The class stays a per-group property (the
-    two legs of one subject may differ), so the permutation null keeps
-    the counterfactual subjects and shuffles the class assignment across
-    the groups, preserving class balance.  The reported delta isolates
+    ``relabel`` maps every session id to a counterfactual (subject, class)
+    pair; the cross validation then groups by the counterfactual subject.
+    The class stays a per-session property (the two legs of one subject
+    may differ), so the permutation null keeps the counterfactual subjects
+    and shuffles the class assignment across the sessions, preserving
+    class balance.  The reported delta isolates
     what the specific assignment adds over any assignment.  Each distinct
     shuffled assignment is scored once.
     """
     _check_repeats("n_permutations", n_permutations, 0)
-    group_values, group_index = np.unique(table.label(group_key), return_inverse=True)
+    group_values, group_index = np.unique(table.label("session_id"), return_inverse=True)
     missing = sorted(set(group_values) - set(relabel))
     if missing:
         raise ParameterError(f"relabel spec misses groups: {missing[:5]}")
@@ -983,8 +938,8 @@ def counterfactual_relabel(
         return table.matrix, subjects, np.asarray(classes, dtype=object)[group_index]
 
     balance = np.array([relabel[g][1] for g in group_values], dtype=object)
-    observed = {**table.labels, "subject": subjects, target: relabeled(balance)[2]}
-    cv = loso_cv(replace(table, labels=observed), group_key="subject", target=target)
+    observed = {**table.labels, GROUP_KEY: subjects, TARGET: relabeled(balance)[2]}
+    cv = loso_cv(replace(table, labels=observed), group_key=GROUP_KEY, target=TARGET)
 
     def draw(i: int) -> tuple[str, ...]:
         rng = stream(seed, substream_id("permutation", i))

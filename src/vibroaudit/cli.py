@@ -31,8 +31,6 @@ from .audit import (
     DEFAULT_BAND_WIDTH_HZ,
     MIXING_REPEATS,
     RELABEL_PERMUTATIONS,
-    TONE_PERSISTENCE_MIN,
-    TONE_PROMINENCE_MIN_DB,
     band_scan,
     check_band_width,
     check_control_quantile,
@@ -279,8 +277,7 @@ def _detect_all_sessions(manifest: Manifest, spectrogram_dir: Path | None = None
         frame_len = _tone_frame_len(sig.sample_rate)
         spec = stft(sig, frame_len, frame_len // 2)
         del sig  # the detector needs only the spectrogram; drop the samples first
-        found = detect_persistent_tones(spec, persistence_min=TONE_PERSISTENCE_MIN,
-                                        prominence_min_db=TONE_PROMINENCE_MIN_DB)
+        found = detect_persistent_tones(spec)
         if spectrogram_dir is not None:
             header = ["frame_time_s"] + [f"{f:.3f}" for f in spec.bin_freqs]
             rows = ([spec.frame_times[i]] + list(spec.magnitudes[i]) for i in range(spec.n_frames))
@@ -426,7 +423,7 @@ def cmd_audit(args) -> int:
         if manifest is None:
             raise ParameterError("tone detection needs --manifest")
         detections = _detect_all_sessions(manifest, out_dir if args.spectrogram_csv else None)
-        return tones_section(detections, TONE_PERSISTENCE_MIN, TONE_PROMINENCE_MIN_DB)
+        return tones_section(detections)
 
     run("tones", "tones", do_tones)
 

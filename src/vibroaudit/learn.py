@@ -337,10 +337,6 @@ class CvResult:
     row_score: np.ndarray
     dropped_features: dict[str, list[str]]
 
-    @property
-    def n_folds(self) -> int:
-        return len(self.per_group_accuracy) + len(self.skipped_folds)
-
 
 def loso_cv(
     table: FeatureTable,

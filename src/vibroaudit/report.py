@@ -29,6 +29,10 @@ import numpy as np
 
 from . import __version__
 from .audit import (
+    GROUP_KEY,
+    TARGET,
+    TONE_PERSISTENCE_MIN,
+    TONE_PROMINENCE_MIN_DB,
     BandScanResult,
     ConditioningResult,
     MixingCurveResult,
@@ -38,7 +42,7 @@ from .audit import (
     ToneDetection,
     summarize_draws,
 )
-from .dataset import FeatureTable, json_text, read_json, write_json
+from .dataset import FeatureTable, read_json, write_json
 from .errors import FormatError, ParameterError
 from .learn import CvResult
 
@@ -142,9 +146,6 @@ class AuditReport:
             doc["timing_s"] = self.timing_s
         return jsonable(doc)
 
-    def dumps(self) -> str:
-        return json_text(self.to_json_dict())
-
     def write(self, path) -> None:
         write_json(path, self.to_json_dict())
 
@@ -245,8 +246,8 @@ def _draws_series(index_name: str, draws: np.ndarray) -> tuple[list[str], list]:
 def band_scan_section(res: BandScanResult) -> tuple[dict, Series]:
     all_skipped = len(res.skipped) == len(res.bands)
     section = {
-        "group_key": res.group_key,
-        "target": res.target,
+        "group_key": GROUP_KEY,
+        "target": TARGET,
         "bands": [list(b) for b in res.bands],
         "accuracy": list(res.per_band_accuracy),
         "skipped": {str(i): reason for i, reason in res.skipped.items()},
@@ -261,7 +262,7 @@ def band_scan_section(res: BandScanResult) -> tuple[dict, Series]:
 
 
 # the scalar detection fields, in their tones.csv column order
-_TONE_COLUMNS = ("center_freq_hz", "persistence", "prominence_db", "present_during_inactivity")
+_TONE_COLUMNS = ("center_freq_hz", "persistence", "prominence_db")
 
 
 def _detection_dict(det: ToneDetection) -> dict:
@@ -270,11 +271,7 @@ def _detection_dict(det: ToneDetection) -> dict:
     return out
 
 
-def tones_section(
-    detections: Mapping[str, Sequence[ToneDetection]],
-    persistence_min: float,
-    prominence_min_db: float,
-) -> tuple[dict, Series]:
+def tones_section(detections: Mapping[str, Sequence[ToneDetection]]) -> tuple[dict, Series]:
     flags = []
     n_hit = sum(1 for dets in detections.values() if len(dets) > 0)
     if n_hit:
@@ -284,19 +281,12 @@ def tones_section(
             f"tone-artifact: persistent narrowband tone detected in "
             f"{n_hit} of {len(detections)} sessions"
         )
-    for sid in sorted(detections):
-        for det in detections[sid]:
-            if det.present_during_inactivity:
-                flags.append(
-                    f"tone-inactive: session {sid} holds a "
-                    f"{det.center_freq:.0f} Hz component through rest periods"
-                )
     sessions = {
         sid: [_detection_dict(d) for d in dets] for sid, dets in sorted(detections.items())
     }
     section = {
-        "persistence_min": persistence_min,
-        "prominence_min_db": prominence_min_db,
+        "persistence_min": TONE_PERSISTENCE_MIN,
+        "prominence_min_db": TONE_PROMINENCE_MIN_DB,
         "sessions": sessions,
         "n_sessions_with_detections": n_hit,
         "flags": flags,
@@ -308,36 +298,33 @@ def tones_section(
     return section, {"tones.csv": (["session_id", *_TONE_COLUMNS, "bin_lo", "bin_hi"], rows)}
 
 
-def prevalence_section(
-    res: PrevalenceResult, alpha: float = PREVALENCE_ALPHA
-) -> tuple[dict, Series]:
+def prevalence_section(res: PrevalenceResult) -> tuple[dict, Series]:
     flags = []
-    if res.p_value < alpha:
+    if res.p_value < PREVALENCE_ALPHA:
         richer = max(res.prevalence, key=lambda c: res.prevalence[c])
         flags.append(
             f"tone-prevalence: detections cooccur with class {richer!r} "
-            f"(p={res.p_value:.3g} < {alpha})"
+            f"(p={res.p_value:.3g} < {PREVALENCE_ALPHA})"
         )
-    return {**vars(res), "alpha": alpha, "flags": flags}, {}
+    return {**vars(res), "alpha": PREVALENCE_ALPHA, "flags": flags}, {}
 
 
 def covariate_section(
     results: Mapping[str, CvResult],
     not_evaluated: Mapping[str, str],
-    threshold: float = COVARIATE_FLAG_ACCURACY,
 ) -> tuple[dict, Series]:
     """``not_evaluated`` maps each covariate that could not be decoded to
     the reason."""
     flags = []
     for cov in sorted(results):
         acc = results[cov].mean_repetition_accuracy
-        if acc >= threshold:
+        if acc >= COVARIATE_FLAG_ACCURACY:
             flags.append(
                 f"covariate-predictable: {cov} decoded from the features at "
-                f"{acc:.3f} (threshold {threshold})"
+                f"{acc:.3f} (threshold {COVARIATE_FLAG_ACCURACY})"
             )
     return {
-        "threshold": threshold,
+        "threshold": COVARIATE_FLAG_ACCURACY,
         "covariates": {cov: _cv_summary(cv) for cov, cv in sorted(results.items())},
         "not_evaluated": dict(not_evaluated),
         "flags": flags,
@@ -395,25 +382,23 @@ def mixing_section(res: MixingCurveResult) -> tuple[dict, Series]:
 def rotation_section(res: RotationResult, pair_table: FeatureTable) -> tuple[dict, Series]:
     """``pair_table`` is the two-feature table the rotation ran on; its
     rows go to ``rotation_scatter.csv``."""
-    side, health = pair_table.label(res.subgroup_key), pair_table.label("health")
+    side, health = pair_table.label(res.subgroup_key), pair_table.label(TARGET)
     scatter = [[x, y, s, h] for (x, y), s, h in zip(pair_table.matrix, side, health)]
     return {**vars(res), "flags": []}, {
         "rotation_curve.csv": (
             ["theta_degrees", "accuracy"], [[t, a] for t, a in res.accuracy_vs_rotation]
         ),
-        "rotation_scatter.csv": ([*pair_table.feature_names, res.subgroup_key, "health"], scatter),
+        "rotation_scatter.csv": ([*pair_table.feature_names, res.subgroup_key, TARGET], scatter),
     }
 
 
 def counterfactual_section(
-    res: RelabelResult,
-    relabel: Mapping[str, tuple[str, str]],
-    min_delta: float = COUNTERFACTUAL_FLAG_DELTA,
-    min_accuracy: float = COUNTERFACTUAL_FLAG_ACCURACY,
+    res: RelabelResult, relabel: Mapping[str, tuple[str, str]]
 ) -> tuple[dict, Series]:
     flags = []
     # an undefined null (no defined draw) leaves the delta NaN, which never flags
-    if res.accuracy >= min_accuracy and res.inflation_delta >= min_delta:
+    if (res.accuracy >= COUNTERFACTUAL_FLAG_ACCURACY
+            and res.inflation_delta >= COUNTERFACTUAL_FLAG_DELTA):
         flags.append(
             f"counterfactual-inflation: regrouping scores {res.accuracy:.3f}, "
             f"{res.inflation_delta:.3f} above its permutation null"
@@ -429,7 +414,7 @@ def counterfactual_section(
             "p_value": res.null_p_value,
         },
         "inflation_delta": res.inflation_delta,
-        "min_delta": min_delta,
-        "min_accuracy": min_accuracy,
+        "min_delta": COUNTERFACTUAL_FLAG_DELTA,
+        "min_accuracy": COUNTERFACTUAL_FLAG_ACCURACY,
         "flags": flags,
     }, {"counterfactual_null.csv": _draws_series("permutation_index", res.null_accuracies)}

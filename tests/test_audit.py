@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -22,6 +23,7 @@ from tablegen import (
     uniform_signal_table,
 )
 from vibroaudit.audit import (
+    TONE_MEDIAN_WINDOW_HZ,
     _above_window_median,
     _edge_padded,
     _exact_association_p,
@@ -322,59 +324,33 @@ class TestDetectPersistentTones:
             hits += len(detect_persistent_tones(tone_spec([], seed=seed)))
         assert hits <= 1
 
-    def test_inactivity_mask_reports_tone_during_rest(self):
-        spec = tone_spec([(33_000.0, 0.05)])
-        mask = np.zeros(spec.n_frames, dtype=bool)
-        mask[:6] = True
-        dets = detect_persistent_tones(spec, inactivity_mask=mask)
-        assert dets[0].present_during_inactivity is True
-
-    def test_inactivity_mask_reports_tone_absent_during_rest(self):
-        # tone starts after the frames covered by the mask but persists
-        # long enough to still be detected overall
-        spec = tone_spec([(33_000.0, 0.05)], tone_start=8192)
-        mask = np.zeros(spec.n_frames, dtype=bool)
-        mask[:6] = True
-        dets = detect_persistent_tones(spec, inactivity_mask=mask)
-        assert len(dets) == 1
-        assert dets[0].present_during_inactivity is False
-
-    def test_no_mask_leaves_inactivity_field_unset(self):
-        dets = detect_persistent_tones(tone_spec([(33_000.0, 0.05)]))
-        assert dets[0].present_during_inactivity is None
-
     def test_window_wider_than_spectrum_is_capped_exactly(self):
+        # bins narrowed by powers of two stretch the fixed median window
+        # over more bins, and scale every center frequency exactly
         spec = tone_spec([(33_000.0, 0.05)])
         df = spec.bin_freqs[1] - spec.bin_freqs[0]
-        capped = detect_persistent_tones(spec, median_window_hz=(2 * spec.n_bins - 1) * df)
+
+        def narrowed(k):
+            return detect_persistent_tones(replace(spec, bin_freqs=spec.bin_freqs / 2.0**k))
+
+        # 2**6 narrower: a window of 2621 bins, capped at 2 * n_bins - 1
+        assert TONE_MEDIAN_WINDOW_HZ / (df / 2.0**6) > 2 * spec.n_bins - 1
+        capped = narrowed(6)
         assert len(capped) == 1
         # a window of 2e10 bins, whose uncapped edge padding would not fit in memory
-        assert detect_persistent_tones(spec, median_window_hz=1e12) == capped
+        assert TONE_MEDIAN_WINDOW_HZ / (df / 2.0**29) > 2e10
+        huge = [replace(d, center_freq=d.center_freq * 2.0**23) for d in narrowed(29)]
+        assert huge == capped
 
     def test_too_few_frames_raise(self):
         spec = tone_spec([], duration=0.2)
         with pytest.raises(ParameterError, match=">= 20 frames"):
             detect_persistent_tones(spec)
 
-    def test_parameter_validation(self):
+    def test_window_of_more_than_2_to_the_63_bins_raises(self):
         spec = tone_spec([])
-        with pytest.raises(ParameterError, match="persistence_min"):
-            detect_persistent_tones(spec, persistence_min=0.0)
-        with pytest.raises(ParameterError, match="persistence_min"):
-            detect_persistent_tones(spec, persistence_min=1.2)
-        # 4000 dB would overflow 10 ** (dB / 10); NaN and inf pass a plain > 0 test
-        for bad in (0.0, np.nan, np.inf, 4000.0):
-            with pytest.raises(ParameterError, match="prominence_min_db"):
-                detect_persistent_tones(spec, prominence_min_db=bad)
-        for bad in (0.0, np.nan, np.inf, 1e300):
-            with pytest.raises(ParameterError, match="median_window_hz"):
-                detect_persistent_tones(spec, median_window_hz=bad)
-        with pytest.raises(ParameterError, match="one flag per frame"):
-            detect_persistent_tones(spec, inactivity_mask=np.ones(3, dtype=bool))
-        with pytest.raises(ParameterError, match="selects no frames"):
-            detect_persistent_tones(
-                spec, inactivity_mask=np.zeros(spec.n_frames, dtype=bool)
-            )
+        with pytest.raises(ParameterError, match=r"spans more than 2\*\*63 bins"):
+            detect_persistent_tones(replace(spec, bin_freqs=spec.bin_freqs / 2.0**60))
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ class TestLosoCv:
     def test_fold_count(self):
         table = learnable_table(n_subjects=5, reps=2)
         cv = loso_cv(table)
-        assert cv.n_folds == 5
+        assert len(cv.per_group_accuracy) + len(cv.skipped_folds) == 5
         assert len(cv.fold_models) == 5
 
     def test_perfect_feature_gives_full_accuracy(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,14 @@ from vibroaudit.audit import (
     incremental_mixing_curve,
     rotation_analysis,
 )
+from vibroaudit.dataset import json_text
 from vibroaudit.errors import FormatError, ParameterError
 from vibroaudit.learn import loso_cv
 from vibroaudit.report import (
+    COUNTERFACTUAL_FLAG_ACCURACY,
+    COUNTERFACTUAL_FLAG_DELTA,
+    COVARIATE_FLAG_ACCURACY,
+    PREVALENCE_ALPHA,
     AuditReport,
     band_scan_section,
     canonical_json,
@@ -41,14 +47,18 @@ from vibroaudit.report import (
 )
 
 
-def _detection(freq=33_000.0, inactive=None):
+def _detection(freq=33_000.0):
     return ToneDetection(
         center_freq=freq,
         persistence=1.0,
         prominence_db=40.0,
-        present_during_inactivity=inactive,
         bin_span=(673, 679),
     )
+
+
+def _below(x):
+    """The largest float below ``x``."""
+    return float(np.nextafter(x, -np.inf))
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +163,10 @@ class TestAuditReport:
         assert doc["config_digest"] == config_digest({"x": 1})
         assert "timing_s" not in doc
 
-    def test_dumps_deterministic(self):
-        assert self._report().dumps() == self._report().dumps()
-        assert self._report().dumps().endswith("\n")
+    def test_json_text_deterministic(self):
+        text = json_text(self._report().to_json_dict())
+        assert text == json_text(self._report().to_json_dict())
+        assert text.endswith("\n")
 
     def test_write_read_round_trip(self, tmp_path):
         rep = self._report()
@@ -204,21 +215,19 @@ class TestAuditReport:
 
 
 class TestSectionFlags:
-    def test_tones_artifact_and_inactivity_flags(self):
+    def test_tones_artifact_flag(self):
         detections = {
-            "s1": [_detection(inactive=True)],
+            "s1": [_detection(), _detection(21_000.0)],
             "s2": [_detection()],
             "s3": [],
         }
-        sec, _ = tones_section(detections, 0.9, 6.0)
+        sec, _ = tones_section(detections)
         assert sec["n_sessions_with_detections"] == 2
-        assert any(f.startswith("tone-artifact: ") for f in sec["flags"])
-        assert any("2 of 3 sessions" in f for f in sec["flags"])
-        inactive = [f for f in sec["flags"] if f.startswith("tone-inactive")]
-        assert len(inactive) == 1 and "s1" in inactive[0]
+        assert sec["flags"] == ["tone-artifact: persistent narrowband tone detected in 2 of 3 sessions"]
+        assert (sec["persistence_min"], sec["prominence_min_db"]) == (0.9, 6.0)
 
     def test_tones_clean_has_no_flags(self):
-        sec, _ = tones_section({"s1": [], "s2": []}, 0.9, 6.0)
+        sec, _ = tones_section({"s1": [], "s2": []})
         assert sec["flags"] == []
         assert sec["n_sessions_with_detections"] == 0
 
@@ -242,6 +251,10 @@ class TestSectionFlags:
         )
         assert prevalence_section(mild)[0]["flags"] == []
 
+        # p must lie strictly below the constant
+        assert prevalence_section(replace(res, p_value=PREVALENCE_ALPHA))[0]["flags"] == []
+        assert len(prevalence_section(replace(res, p_value=_below(PREVALENCE_ALPHA)))[0]["flags"]) == 1
+
     def test_covariate_flag_threshold(self, device_table):
         cv = covariate_predictability(device_table, "device")
         sec, series = covariate_section({"device": cv}, {"side": "constant"})
@@ -251,7 +264,12 @@ class TestSectionFlags:
         assert sec["flags"][0].startswith("covariate-predictable: device")
         assert sec["covariates"]["device"]["target"] == "device"
 
-        relaxed, _ = covariate_section({"device": cv}, {}, threshold=2.0)
+        assert sec["threshold"] == COVARIATE_FLAG_ACCURACY
+
+        at = replace(cv, mean_repetition_accuracy=COVARIATE_FLAG_ACCURACY)
+        assert len(covariate_section({"device": at}, {})[0]["flags"]) == 1
+        below = replace(cv, mean_repetition_accuracy=_below(COVARIATE_FLAG_ACCURACY))
+        relaxed, _ = covariate_section({"device": below}, {})
         assert relaxed["flags"] == []
         assert relaxed["not_evaluated"] == {}
 
@@ -283,8 +301,15 @@ class TestSectionFlags:
         no_null = counterfactual_relabel(table, relabel, n_permutations=0, seed=0)
         assert counterfactual_section(no_null, relabel)[0]["flags"] == []
 
-        strict, _ = counterfactual_section(res, relabel, min_accuracy=1.01)
-        assert strict["flags"] == []
+        # each threshold flags at the constant and not just below it
+        assert res.accuracy >= COUNTERFACTUAL_FLAG_ACCURACY
+        assert res.inflation_delta >= COUNTERFACTUAL_FLAG_DELTA
+        for field, constant in (("accuracy", COUNTERFACTUAL_FLAG_ACCURACY),
+                                ("inflation_delta", COUNTERFACTUAL_FLAG_DELTA)):
+            at, _ = counterfactual_section(replace(res, **{field: constant}), relabel)
+            assert len(at["flags"]) == 1
+            strict, _ = counterfactual_section(replace(res, **{field: _below(constant)}), relabel)
+            assert strict["flags"] == []
 
     def test_undefined_null_draws_do_not_suppress_the_counterfactual_flag(self, monkeypatch):
         table = day_level_table()
@@ -313,7 +338,7 @@ class TestSectionFlags:
     def test_every_section_carries_its_seed(self, conditioning_result):
         rep = AuditReport(master_seed=11, config={}, provenance={})
         for name, (section, _) in {
-            "tones": tones_section({"s": []}, 0.9, 6.0),
+            "tones": tones_section({"s": []}),
             "conditioning": conditioning_section(conditioning_result),
         }.items():
             assert "seed" not in section
@@ -331,12 +356,11 @@ class TestBandScanSection:
             per_band_accuracy=np.array([cv.mean_repetition_accuracy, np.nan]),
             cv={0: cv},
             skipped={1: "band too narrow"},
-            group_key="subject",
-            target="health",
         )
 
     def test_section_reports_skips_and_best_band(self):
         sec, _ = band_scan_section(self._result())
+        assert (sec["group_key"], sec["target"]) == ("subject", "health")
         assert sec["bands"] == [[250.0, 10_000.0], [10_000.0, 10_100.0]]
         assert sec["skipped"] == {"1": "band too narrow"}
         assert sec["best_band"] == [250.0, 10_000.0]
@@ -371,15 +395,11 @@ class TestCsvSeries:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_tone_and_control_and_null_series(self, tmp_path, conditioning_result):
-        series = tones_section(
-            {"s1": [_detection()], "s0": [], "a0": [_detection(21_000.0, inactive=False)]},
-            0.9, 6.0,
-        )[1]
+        series = tones_section({"s1": [_detection()], "s0": [], "a0": [_detection(21_000.0)]})[1]
         lines = _series_lines(tmp_path, series, "tones.csv")
-        assert lines[0] == ("session_id,center_freq_hz,persistence,prominence_db,"
-                            "present_during_inactivity,bin_lo,bin_hi")
+        assert lines[0] == "session_id,center_freq_hz,persistence,prominence_db,bin_lo,bin_hi"
         # sessions in sorted order; one without detections writes no row
-        assert lines[1:] == ["a0,21000.0,1.0,40.0,false,673,679", "s1,33000.0,1.0,40.0,,673,679"]
+        assert lines[1:] == ["a0,21000.0,1.0,40.0,673,679", "s1,33000.0,1.0,40.0,673,679"]
 
         series = conditioning_section(conditioning_result)[1]
         lines = _series_lines(tmp_path, series, "conditioning_control.csv")
